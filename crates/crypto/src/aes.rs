@@ -588,6 +588,121 @@ impl Aes {
     }
 }
 
+/// A lane-keyed schedule: one batch of [`BATCH_BLOCKS`] lanes where lane
+/// `i` encrypts under its own key.
+///
+/// The lane → key map is fixed at construction and chosen by public pad
+/// purpose (which AES of a pipeline each lane computes), never by data.
+/// The backend stays hidden behind one call:
+///
+/// * when every lane is a `hardened` schedule of one variant, the lanes'
+///   bitsliced round keys are merged plane by plane under the public lane
+///   masks, and a call is exactly one circuit evaluation however many
+///   lanes are live;
+/// * otherwise (the table backends, or a mixed set) each live lane runs
+///   its own schedule's scalar path, in lane order, so a call costs
+///   exactly one block encryption per live lane.
+///
+/// # Examples
+///
+/// ```
+/// use rmcc_crypto::aes::{Aes, Backend, LaneKeyed};
+///
+/// let a = Aes::new_128_on(&[1u8; 16], Backend::Hardened);
+/// let b = Aes::new_128_on(&[2u8; 16], Backend::Hardened);
+/// let lanes = LaneKeyed::new([&a, &b, &a, &b, &a, &b, &a, &b]);
+/// let mut io = [7u128, 7];
+/// lanes.encrypt_u128_lanes(&mut io);
+/// assert_eq!(io, [a.encrypt_u128(7), b.encrypt_u128(7)]);
+/// ```
+#[derive(Clone)]
+pub struct LaneKeyed {
+    engine: LaneEngine,
+}
+
+/// How a [`LaneKeyed`] schedule evaluates its lanes.
+#[derive(Clone)]
+enum LaneEngine {
+    /// One bitsliced circuit carrying every lane's round keys.
+    Merged(Box<crate::bitslice::Sliced>),
+    /// Scalar schedules: `schedules[lane_of[i]]` encrypts lane `i`.
+    PerLane {
+        /// The distinct schedules, in order of first lane.
+        schedules: Vec<Aes>,
+        /// Each lane's index into `schedules`.
+        lane_of: [usize; BATCH_BLOCKS],
+    },
+}
+
+impl std::fmt::Debug for LaneKeyed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never leak key material through Debug output.
+        f.debug_struct("LaneKeyed").finish_non_exhaustive()
+    }
+}
+
+impl LaneKeyed {
+    /// Builds the schedule whose lane `i` runs `lanes[i]`.
+    pub fn new(lanes: [&Aes; BATCH_BLOCKS]) -> Self {
+        let [first, ..] = lanes;
+        let sliced = lanes.map(|aes| aes.sliced.as_ref());
+        let engine = match sliced {
+            [Some(s0), Some(s1), Some(s2), Some(s3), Some(s4), Some(s5), Some(s6), Some(s7)]
+                if lanes.iter().all(|aes| aes.variant == first.variant) =>
+            {
+                LaneEngine::Merged(Box::new(crate::bitslice::Sliced::merge_lanes([
+                    s0, s1, s2, s3, s4, s5, s6, s7,
+                ])))
+            }
+            _ => {
+                // One clone per distinct schedule, not per lane.
+                let mut distinct: Vec<&Aes> = Vec::new();
+                let lane_of = lanes.map(|aes| {
+                    distinct
+                        .iter()
+                        .position(|d| std::ptr::eq(*d, aes))
+                        .unwrap_or_else(|| {
+                            distinct.push(aes);
+                            distinct.len() - 1
+                        })
+                });
+                LaneEngine::PerLane {
+                    schedules: distinct.into_iter().cloned().collect(),
+                    lane_of,
+                }
+            }
+        };
+        LaneKeyed { engine }
+    }
+
+    /// Encrypts `io[i]` under lane `i`'s key, in place (`u128` values in
+    /// big-endian byte order). Lanes past `io.len()` are dead: the merged
+    /// circuit runs them on zero blocks and discards them, the per-lane
+    /// engine skips them. At most [`BATCH_BLOCKS`] values are encrypted;
+    /// any beyond are left untouched.
+    pub fn encrypt_u128_lanes(&self, io: &mut [u128]) {
+        match &self.engine {
+            LaneEngine::Merged(ct) => {
+                let mut blocks = [[0u8; BLOCK_BYTES]; BATCH_BLOCKS];
+                for (block, v) in blocks.iter_mut().zip(io.iter()) {
+                    *block = v.to_be_bytes();
+                }
+                let out = ct.encrypt8(&blocks);
+                for (v, block) in io.iter_mut().zip(out) {
+                    *v = u128::from_be_bytes(block);
+                }
+            }
+            LaneEngine::PerLane { schedules, lane_of } => {
+                for (v, &k) in io.iter_mut().zip(lane_of) {
+                    if let Some(aes) = schedules.get(k) {
+                        *v = aes.encrypt_u128(*v);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Reference-path `AddRoundKey`.
 fn ref_add_round_key(state: &mut Block, rk: &[u8; 16]) {
     for (s, k) in state.iter_mut().zip(rk.iter()) {
@@ -776,6 +891,35 @@ mod tests {
                 assert_eq!(*got, aes.encrypt_u128(*input), "backend {backend} (u128)");
             }
         }
+    }
+
+    /// Lanes that cannot share one circuit — mixed backends or mixed
+    /// variants — fall back to per-lane scalar calls and stay correct.
+    #[test]
+    fn lane_keyed_mixed_schedules_fall_back_per_lane() {
+        let hard = Aes::new_128_on(&[1u8; 16], Backend::Hardened);
+        let fast = Aes::new_128_on(&[2u8; 16], Backend::Fast);
+        let wide = Aes::new_256_on(&[3u8; 32], Backend::Hardened);
+        for lanes in [
+            [&hard, &fast, &hard, &fast, &hard, &fast, &hard, &fast],
+            [&hard, &wide, &hard, &wide, &hard, &wide, &hard, &wide],
+        ] {
+            let schedule = LaneKeyed::new(lanes);
+            let LaneEngine::PerLane { schedules, .. } = &schedule.engine else {
+                panic!("mixed lanes cannot share one circuit");
+            };
+            assert_eq!(schedules.len(), 2, "one clone per distinct schedule");
+            let mut io: [u128; 8] = core::array::from_fn(|lane| lane as u128 * 0x0101);
+            let want: Vec<u128> = io
+                .iter()
+                .zip(lanes)
+                .map(|(v, aes)| aes.encrypt_u128(*v))
+                .collect();
+            schedule.encrypt_u128_lanes(&mut io);
+            assert_eq!(io.to_vec(), want);
+        }
+        let merged = LaneKeyed::new([&hard; 8]);
+        assert!(matches!(merged.engine, LaneEngine::Merged(_)));
     }
 
     #[test]

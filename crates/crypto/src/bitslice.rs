@@ -45,6 +45,8 @@ const ROW2: u128 = ROW0 << 16;
 const ROW3: u128 = ROW0 << 24;
 /// Rows 0–2 of every column (everything `rot_word` pulls downward).
 const LOW_ROWS: u128 = ROW0 | ROW1 | ROW2;
+/// Lane 0's bit in every byte group; `LANE0 << lane` selects one lane.
+const LANE0: u128 = 0x0101_0101_0101_0101_0101_0101_0101_0101;
 
 /// Bitsliced GF(2^8) multiply: schoolbook polynomial product of two
 /// plane-sets followed by reduction modulo the AES polynomial
@@ -458,6 +460,36 @@ impl Sliced {
             inner,
             closing,
         }
+    }
+
+    /// Merges eight schedules into one whose lane `i` runs `lanes[i]`'s
+    /// key: every round-key plane is the OR of each schedule's plane
+    /// masked to its lane. The round primitives never move a bit across
+    /// lanes, so one [`Sliced::encrypt8`] then encrypts each lane under its
+    /// own key. The masks are public constants and the work is fixed, so
+    /// the merge is as constant-time as the expansion. The caller
+    /// guarantees all eight share one variant.
+    pub(crate) fn merge_lanes(lanes: [&Sliced; 8]) -> Self {
+        let [first, ..] = lanes;
+        let mut merged = Sliced {
+            opening: [0; 8],
+            inner: vec![[0; 8]; first.inner.len()],
+            closing: [0; 8],
+        };
+        for (lane, one) in lanes.iter().enumerate() {
+            let mask = LANE0 << lane;
+            let blend = |dst: &mut Planes, src: &Planes| {
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d |= s & mask;
+                }
+            };
+            blend(&mut merged.opening, &one.opening);
+            for (dst, src) in merged.inner.iter_mut().zip(&one.inner) {
+                blend(dst, src);
+            }
+            blend(&mut merged.closing, &one.closing);
+        }
+        merged
     }
 
     /// Encrypts 8 blocks in lockstep through the plane circuit.

@@ -17,7 +17,7 @@
 
 use std::cell::RefCell;
 
-use crate::aes::{Aes, Backend, BATCH_BLOCKS};
+use crate::aes::{Aes, Backend, LaneKeyed, BATCH_BLOCKS};
 use crate::clmul::clmul_truncate_mid;
 
 /// Number of 128-bit words in a 64-byte memory block.
@@ -194,14 +194,20 @@ pub trait OtpPipeline: Send {
 
     /// Hints that the pads for these `(block_addr, ctr)` requests are
     /// about to be asked for, letting the pipeline derive them through a
-    /// batched AES path ahead of time. Purely a wall-clock accelerator:
-    /// subsequent [`OtpPipeline::block_pads`]/[`OtpPipeline::mac_pad`]
-    /// calls return bit-identical values whether or not this ran, and the
-    /// caller's modeled crypto accounting is charged at request time
-    /// either way. The default is a no-op (the baseline pipeline has no
-    /// batch path and no memo to warm).
-    fn warm_pads(&self, reqs: &[(u64, u64)]) {
-        let _ = reqs;
+    /// batched AES path ahead of time. `purpose` names what the caller
+    /// will ask for next: [`PadPurpose::Encryption`] warms full
+    /// [`BlockPads`] (data blocks, which are decrypted and MACed),
+    /// [`PadPurpose::Mac`] only the MAC pad (tree-node images, which are
+    /// authenticated but never decrypted).
+    ///
+    /// Purely a wall-clock accelerator: subsequent
+    /// [`OtpPipeline::block_pads`]/[`OtpPipeline::mac_pad`] calls return
+    /// bit-identical values whether or not this ran, and the caller's
+    /// modeled crypto accounting is charged at request time either way.
+    /// The default is a no-op (the baseline pipeline has no batch path and
+    /// no memo to warm).
+    fn warm_pads(&self, reqs: &[(u64, u64)], purpose: PadPurpose) {
+        let _ = (reqs, purpose);
     }
 
     /// A short human-readable name for diagnostics.
@@ -282,6 +288,15 @@ fn addr_input(block_addr: u64, word_index: u8) -> u128 {
     (mu << 112) | ((word_addr as u128) << 64)
 }
 
+/// Lane layout of [`RmccOtp`]'s block derivation: the four address-only
+/// encryption words, the address-only MAC input, then the two counter-only
+/// inputs — the seven AES calls behind one block's pads, one lane each.
+const BLOCK_LANES: usize = 7;
+
+/// Requests per circuit in the MAC-pad layout: each takes a
+/// `(counter-only MAC, address-only MAC)` lane pair.
+const MAC_PAIRS: usize = BATCH_BLOCKS / 2;
+
 /// Number of slots in each way of the transparent pad memo (power of two).
 const MEMO_SLOTS: usize = 1 << 14;
 
@@ -356,9 +371,21 @@ impl PadMemo {
 /// The memo is *transparent* — hits return bit-identical pads, and the
 /// engine's modeled crypto tally is charged per request either way — so it
 /// only changes host wall clock, never results or accounting.
+///
+/// Every derivation runs through a lane-keyed schedule ([`LaneKeyed`]):
+/// the counter-only and address-only AES inputs are independent, so the
+/// seven calls behind one block's pads share one batch, each lane under
+/// the key its purpose selects. On the hardened backend that is one
+/// circuit per block (and one per [`MAC_PAIRS`] MAC pads) instead of one
+/// per call; the table backends still make exactly one call per live lane.
 #[derive(Clone)]
 pub struct RmccOtp {
     keys: KeySet,
+    /// Block layout: `addr_enc` in lanes 0–3, then `addr_mac`, `enc`, `mac`
+    /// (lane 7 is dead).
+    block_lanes: LaneKeyed,
+    /// MAC layout: `(mac, addr_mac)` in lanes `(2i, 2i + 1)`, `i < 4`.
+    mac_lanes: LaneKeyed,
     memo: RefCell<PadMemo>,
 }
 
@@ -372,25 +399,67 @@ impl std::fmt::Debug for RmccOtp {
 impl RmccOtp {
     /// Creates the split pipeline over `keys`.
     pub fn new(keys: KeySet) -> Self {
+        let (ae, am, enc, mac) = (&keys.addr_enc, &keys.addr_mac, &keys.enc, &keys.mac);
         RmccOtp {
+            block_lanes: LaneKeyed::new([ae, ae, ae, ae, am, enc, mac, mac]),
+            mac_lanes: LaneKeyed::new([mac, am, mac, am, mac, am, mac, am]),
             keys,
             memo: RefCell::new(PadMemo::new()),
         }
     }
 
-    /// The full derivation, bypassing the memo (also the miss path).
+    /// The full derivation, bypassing the memo (also the miss path): one
+    /// lane-keyed batch in the block layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctr` exceeds [`COUNTER_MAX`].
     fn derive_block_pads(&self, block_addr: u64, ctr: u64) -> BlockPads {
-        let ctr_enc = self.counter_only(ctr, PadPurpose::Encryption);
-        let ctr_mac = self.counter_only(ctr, PadPurpose::Mac);
-        let mut words = [0u128; WORDS_PER_BLOCK];
-        for (i, w) in (0u8..).zip(words.iter_mut()) {
-            *w = Self::combine(
-                ctr_enc,
-                self.address_only(block_addr, i, PadPurpose::Encryption),
-            );
+        assert!(ctr <= COUNTER_MAX, "counter overflows 56 bits");
+        let a = addr_input(block_addr, 0);
+        let mut io: [u128; BLOCK_LANES] = [
+            a,
+            addr_input(block_addr, 1),
+            addr_input(block_addr, 2),
+            addr_input(block_addr, 3),
+            a,
+            ctr as u128,
+            ctr as u128,
+        ];
+        self.block_lanes.encrypt_u128_lanes(&mut io);
+        let [a0, a1, a2, a3, amac, ce, cm] = io;
+        BlockPads {
+            words: [
+                Self::combine(ce, a0),
+                Self::combine(ce, a1),
+                Self::combine(ce, a2),
+                Self::combine(ce, a3),
+            ],
+            mac: Self::combine(cm, amac),
         }
-        let mac = Self::combine(ctr_mac, self.address_only(block_addr, 0, PadPurpose::Mac));
-        BlockPads { words, mac }
+    }
+
+    /// Derives the MAC pads of up to [`MAC_PAIRS`] requests in one
+    /// lane-keyed batch in the MAC layout, bypassing the memo. `out[i]`
+    /// receives request `i`'s pad; requests past `MAC_PAIRS` are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any counter exceeds [`COUNTER_MAX`].
+    fn derive_mac_pads(&self, reqs: &[(u64, u64)], out: &mut [u128]) {
+        let mut pairs = [[0u128; 2]; MAC_PAIRS];
+        let mut live = 0;
+        for (pair, &(addr, ctr)) in pairs.iter_mut().zip(reqs) {
+            assert!(ctr <= COUNTER_MAX, "counter overflows 56 bits");
+            *pair = [ctr as u128, addr_input(addr, 0)];
+            live += 1;
+        }
+        let lanes = pairs.as_flattened_mut();
+        self.mac_lanes
+            .encrypt_u128_lanes(lanes.get_mut(..2 * live).unwrap_or_default());
+        for (pad, [cm, amac]) in out.iter_mut().zip(pairs).take(live) {
+            *pad = Self::combine(cm, amac);
+        }
     }
 
     /// The counter-only AES result for `ctr` — exactly the value RMCC's
@@ -471,34 +540,6 @@ impl RmccOtp {
         out
     }
 
-    /// Narrow batched form of [`OtpPipeline::mac_pad`]: MAC pads only, for
-    /// up to [`BATCH_BLOCKS`] requests, bit-identical lane-for-lane to the
-    /// scalar call. Same lane convention as [`RmccOtp::block_pads_batch8`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any counter exceeds [`COUNTER_MAX`].
-    pub fn mac_pads_batch8(&self, reqs: &[(u64, u64)]) -> [u128; BATCH_BLOCKS] {
-        let mut lanes = [(0u64, 0u64); BATCH_BLOCKS];
-        for (slot, req) in lanes.iter_mut().zip(reqs.iter()) {
-            assert!(req.1 <= COUNTER_MAX, "counter overflows 56 bits");
-            *slot = *req;
-        }
-        let ctr_mac = self
-            .keys
-            .mac
-            .encrypt_u128_batch8(lanes.map(|(_, ctr)| ctr as u128));
-        let am = self
-            .keys
-            .addr_mac
-            .encrypt_u128_batch8(lanes.map(|(addr, _)| addr_input(addr, 0)));
-        let mut out = [0u128; BATCH_BLOCKS];
-        for (pad, (cm, amac)) in out.iter_mut().zip(ctr_mac.into_iter().zip(am)) {
-            *pad = Self::combine(cm, amac);
-        }
-        out
-    }
-
     /// Combines a counter-only and an address-only AES result into the final
     /// pad: `truncate_mid(clmul(counter_only, address_only))`.
     pub fn combine(counter_only: u128, address_only: u128) -> u128 {
@@ -543,21 +584,17 @@ impl OtpPipeline for RmccOtp {
     // audit:allow(R5, scope = fn, reason = "memo slots are addressed by (block_addr, ctr), both public metadata; the hit/miss pattern is the paper's architecturally visible memoization")
     fn mac_pad(&self, block_addr: u64, ctr: u64) -> u128 {
         let idx = memo_index(block_addr, ctr);
+        let mut mac = 0;
         let Ok(mut memo) = self.memo.try_borrow_mut() else {
-            return Self::combine(
-                self.counter_only(ctr, PadPurpose::Mac),
-                self.address_only(block_addr, 0, PadPurpose::Mac),
-            );
+            self.derive_mac_pads(&[(block_addr, ctr)], std::slice::from_mut(&mut mac));
+            return mac;
         };
         if let Some(slot) = memo.macs.get(idx) {
             if slot.addr == block_addr && slot.ctr == ctr {
                 return slot.mac;
             }
         }
-        let mac = Self::combine(
-            self.counter_only(ctr, PadPurpose::Mac),
-            self.address_only(block_addr, 0, PadPurpose::Mac),
-        );
+        self.derive_mac_pads(&[(block_addr, ctr)], std::slice::from_mut(&mut mac));
         if let Some(slot) = memo.macs.get_mut(idx) {
             *slot = MacSlot {
                 addr: block_addr,
@@ -568,27 +605,39 @@ impl OtpPipeline for RmccOtp {
         mac
     }
 
-    /// Warms the transparent memo through the 8-wide batch derivation:
-    /// requests already memoized are skipped, the rest are derived in
-    /// [`BATCH_BLOCKS`]-lane groups and inserted into both the block-pad
-    /// and MAC-pad ways. Correctness-neutral by construction — hits serve
-    /// bit-identical pads, and evictions only cost a re-derivation later.
+    /// Warms the transparent memo through the batched derivations:
+    /// requests already memoized are skipped and the rest are derived in
+    /// groups — [`BATCH_BLOCKS`] per [`RmccOtp::block_pads_batch8`] for
+    /// [`PadPurpose::Encryption`] (inserted into both ways), [`MAC_PAIRS`]
+    /// per lane-keyed MAC batch for [`PadPurpose::Mac`] (MAC way only).
+    /// Correctness-neutral by construction — hits serve bit-identical
+    /// pads, and evictions only cost a re-derivation later.
     // audit:allow(R5, scope = fn, reason = "memo slots are addressed by (block_addr, ctr), both public metadata; the hit/miss pattern is the paper's architecturally visible memoization")
-    fn warm_pads(&self, reqs: &[(u64, u64)]) {
+    fn warm_pads(&self, reqs: &[(u64, u64)], purpose: PadPurpose) {
         let Ok(mut memo) = self.memo.try_borrow_mut() else {
             return;
         };
-        for group in reqs.chunks(BATCH_BLOCKS) {
+        let group_len = match purpose {
+            PadPurpose::Encryption => BATCH_BLOCKS,
+            PadPurpose::Mac => MAC_PAIRS,
+        };
+        for group in reqs.chunks(group_len) {
             // Collect the lanes not already memoized (duplicate requests
             // within a group derive twice and overwrite — harmless).
             let mut missing = [(0u64, 0u64); BATCH_BLOCKS];
             let mut n = 0usize;
             for (addr, ctr) in group {
                 let idx = memo_index(*addr, *ctr);
-                let hit = memo
-                    .blocks
-                    .get(idx)
-                    .is_some_and(|s| s.addr == *addr && s.ctr == *ctr);
+                let hit = match purpose {
+                    PadPurpose::Encryption => memo
+                        .blocks
+                        .get(idx)
+                        .is_some_and(|s| s.addr == *addr && s.ctr == *ctr),
+                    PadPurpose::Mac => memo
+                        .macs
+                        .get(idx)
+                        .is_some_and(|s| s.addr == *addr && s.ctr == *ctr),
+                };
                 if !hit {
                     if let Some(slot) = missing.get_mut(n) {
                         *slot = (*addr, *ctr);
@@ -596,27 +645,33 @@ impl OtpPipeline for RmccOtp {
                     }
                 }
             }
-            let Some(live) = missing.get(..n) else {
-                continue;
-            };
+            let live = missing.get(..n).unwrap_or_default();
             if live.is_empty() {
                 continue;
             }
-            let derived = self.block_pads_batch8(live);
-            for ((addr, ctr), pads) in live.iter().zip(derived.iter()) {
-                let idx = memo_index(*addr, *ctr);
-                if let Some(slot) = memo.blocks.get_mut(idx) {
-                    *slot = PadSlot {
-                        addr: *addr,
-                        ctr: *ctr,
-                        pads: *pads,
-                    };
+            let mut macs = [0u128; BATCH_BLOCKS];
+            match purpose {
+                PadPurpose::Encryption => {
+                    let derived = self.block_pads_batch8(live);
+                    for ((addr, ctr), pads) in live.iter().zip(derived.iter()) {
+                        if let Some(slot) = memo.blocks.get_mut(memo_index(*addr, *ctr)) {
+                            *slot = PadSlot {
+                                addr: *addr,
+                                ctr: *ctr,
+                                pads: *pads,
+                            };
+                        }
+                    }
+                    macs = derived.map(|pads| pads.mac);
                 }
-                if let Some(slot) = memo.macs.get_mut(idx) {
+                PadPurpose::Mac => self.derive_mac_pads(live, &mut macs),
+            }
+            for ((addr, ctr), mac) in live.iter().zip(macs) {
+                if let Some(slot) = memo.macs.get_mut(memo_index(*addr, *ctr)) {
                     *slot = MacSlot {
                         addr: *addr,
                         ctr: *ctr,
-                        mac: pads.mac,
+                        mac,
                     };
                 }
             }
@@ -796,13 +851,81 @@ mod tests {
         }
     }
 
+    /// Seeded `(addr, ctr)` pairs plus the counter-space edges.
+    fn seeded_pairs(n: u64) -> Vec<(u64, u64)> {
+        let mut x = 0x5eed_u64;
+        let mut next = || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut pairs = vec![(0, 0), (0, COUNTER_MAX), (u64::MAX, COUNTER_MAX), (77, 0)];
+        pairs.extend((0..n).map(|_| (next() >> 20, next() & COUNTER_MAX)));
+        pairs
+    }
+
+    fn pipeline_on(backend: Backend, variant: crate::aes::AesVariant) -> RmccOtp {
+        RmccOtp::new(KeySet::from_master_on(0x1234_5678, variant, backend))
+    }
+
+    /// The lane-keyed derivation is backend-invisible: fresh pipelines on
+    /// every backend serve identical block and MAC pads, memo miss or hit,
+    /// and the pads are the scalar split pipeline's.
     #[test]
-    fn mac_pads_batch8_matches_scalar() {
-        let p = RmccOtp::new(keys());
-        let reqs = [(0u64, 0u64), (77, 9), (1 << 40, 12345), (3, COUNTER_MAX)];
-        let batch = p.mac_pads_batch8(&reqs);
-        for (lane, (addr, ctr)) in reqs.iter().enumerate() {
-            assert_eq!(batch[lane], p.mac_pad(*addr, *ctr), "lane {lane}");
+    fn fresh_pipelines_agree_across_backends() {
+        use crate::aes::AesVariant;
+        for variant in [AesVariant::Aes128, AesVariant::Aes256] {
+            let fast = pipeline_on(Backend::Fast, variant);
+            let others = [
+                pipeline_on(Backend::Hardened, variant),
+                pipeline_on(Backend::Reference, variant),
+            ];
+            for (addr, ctr) in seeded_pairs(24) {
+                let want = fast.block_pads(addr, ctr);
+                for w in 0..WORDS_PER_BLOCK {
+                    let word = fast.word_pad(addr, w as u8, ctr, PadPurpose::Encryption);
+                    assert_eq!(want.words[w], word, "{variant} word {w} at {addr}/{ctr}");
+                }
+                assert_eq!(want.mac, fast.word_pad(addr, 0, ctr, PadPurpose::Mac));
+                for p in &others {
+                    // mac_pad first so the MAC way misses on its own path.
+                    assert_eq!(p.mac_pad(addr, ctr), want.mac, "{variant} {addr}/{ctr}");
+                    assert_eq!(p.block_pads(addr, ctr), want, "{variant} {addr}/{ctr}");
+                    assert_eq!(p.block_pads(addr, ctr), want, "memo hit {addr}/{ctr}");
+                }
+            }
+        }
+    }
+
+    /// The batched MAC derivation matches scalar `mac_pad` for every
+    /// group size, and a MAC warm leaves the memo serving identical pads
+    /// (for both ways) on every backend.
+    #[test]
+    fn batched_mac_pads_match_scalar_and_warm_the_memo() {
+        use crate::aes::AesVariant;
+        let reqs = seeded_pairs(9);
+        for backend in [Backend::Fast, Backend::Hardened, Backend::Reference] {
+            let p = pipeline_on(backend, AesVariant::Aes128);
+            let cold = pipeline_on(Backend::Fast, AesVariant::Aes128);
+            for k in 1..=MAC_PAIRS + 1 {
+                let mut out = vec![0u128; k];
+                p.derive_mac_pads(&reqs[..k], &mut out);
+                for (i, (addr, ctr)) in reqs[..k.min(MAC_PAIRS)].iter().enumerate() {
+                    assert_eq!(out[i], cold.mac_pad(*addr, *ctr), "{backend} {i} of {k}");
+                }
+                if k > MAC_PAIRS {
+                    assert_eq!(out[MAC_PAIRS], 0, "requests past a batch are ignored");
+                }
+            }
+            let warmed = pipeline_on(backend, AesVariant::Aes128);
+            warmed.warm_pads(&reqs, PadPurpose::Mac);
+            warmed.warm_pads(&reqs, PadPurpose::Mac);
+            for (addr, ctr) in &reqs {
+                assert_eq!(warmed.mac_pad(*addr, *ctr), cold.mac_pad(*addr, *ctr));
+                assert_eq!(warmed.block_pads(*addr, *ctr), cold.block_pads(*addr, *ctr));
+            }
         }
     }
 
@@ -813,9 +936,9 @@ mod tests {
         let warmed = RmccOtp::new(keys());
         let cold = RmccOtp::new(keys());
         let reqs: Vec<(u64, u64)> = (0..23).map(|i| (i * 37 % 11, i)).collect();
-        warmed.warm_pads(&reqs);
+        warmed.warm_pads(&reqs, PadPurpose::Encryption);
         // Warming twice (all hits the second time) is also a no-op.
-        warmed.warm_pads(&reqs);
+        warmed.warm_pads(&reqs, PadPurpose::Encryption);
         for (addr, ctr) in &reqs {
             assert_eq!(
                 warmed.block_pads(*addr, *ctr),
@@ -830,7 +953,7 @@ mod tests {
         }
         // The default trait impl is a no-op and must also be harmless.
         let sgx = SgxOtp::new(keys());
-        sgx.warm_pads(&reqs);
+        sgx.warm_pads(&reqs, PadPurpose::Mac);
         assert_eq!(sgx.block_pads(1, 1), SgxOtp::new(keys()).block_pads(1, 1));
     }
 

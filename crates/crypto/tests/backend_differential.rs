@@ -10,13 +10,15 @@
 //!   vectors) against every backend, scalar and batched;
 //! * property-generated random keys/plaintexts for AES-128 and AES-256;
 //! * all-lanes and partial-batch (< 8 blocks) paths against the scalar
-//!   path, per backend and across backends.
+//!   path, per backend and across backends;
+//! * lane-keyed schedules (a different key per lane) against per-key
+//!   scalar encryption, for random lane → key maps and live-lane counts.
 
 // Test harness: panicking on malformed fixtures is the failure mode we
 // want, and seed-derived bytes truncate by design.
 #![allow(clippy::expect_used, clippy::cast_possible_truncation)]
 use proptest::prelude::*;
-use rmcc_crypto::aes::{Aes, AesVariant, Backend, Block, BATCH_BLOCKS};
+use rmcc_crypto::aes::{Aes, AesVariant, Backend, Block, LaneKeyed, BATCH_BLOCKS};
 
 const BACKENDS: [Backend; 3] = [Backend::Reference, Backend::Fast, Backend::Hardened];
 
@@ -350,6 +352,44 @@ proptest! {
                     backend,
                     lane
                 );
+            }
+        }
+    }
+
+    /// A lane-keyed schedule encrypts every live lane exactly as that
+    /// lane's own key does on the scalar path, for any lane → key map
+    /// over three random keys, any live-lane count, both variants, and
+    /// every backend; lanes past the live count are left untouched.
+    #[test]
+    fn random_lane_keyed_schedules_match_per_key_scalar(
+        seed in any::<u64>(),
+        map in any::<u64>(),
+        live in 0usize..10,
+        wide in any::<bool>(),
+    ) {
+        let variant = if wide { AesVariant::Aes256 } else { AesVariant::Aes128 };
+        let material: [[u8; 32]; 3] =
+            core::array::from_fn(|k| bytes_from_seed(seed ^ (k as u64 + 1) * 0x1f1f));
+        let inputs: Vec<u128> = (0..live)
+            .map(|lane| u128::from_be_bytes(bytes_from_seed(seed.wrapping_add(lane as u64))))
+            .collect();
+        for backend in BACKENDS {
+            let schedules: Vec<Aes> = material
+                .iter()
+                .map(|m| Aes::expand_on(&m[..variant.key_bytes()], variant, backend).expect("length"))
+                .collect();
+            let which: [usize; BATCH_BLOCKS] =
+                core::array::from_fn(|lane| ((map >> (lane * 2)) % 3) as usize);
+            let lanes = LaneKeyed::new(which.map(|k| &schedules[k]));
+            let mut io = inputs.clone();
+            lanes.encrypt_u128_lanes(&mut io);
+            for (lane, (got, input)) in io.iter().zip(&inputs).enumerate() {
+                let want = if lane < BATCH_BLOCKS {
+                    schedules[which[lane]].encrypt_u128(*input)
+                } else {
+                    *input
+                };
+                prop_assert_eq!(*got, want, "{} {} lane {} of {}", backend, variant, lane, live);
             }
         }
     }

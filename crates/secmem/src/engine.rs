@@ -10,7 +10,7 @@
 
 use rmcc_crypto::aes::{AesVariant, Backend, BATCH_BLOCKS};
 use rmcc_crypto::mac::{compute_mac, verify_mac, xor_with_pads, DataBlock, MacKeys};
-use rmcc_crypto::otp::{KeySet, OtpPipeline, RmccOtp, SgxOtp, COUNTER_MAX};
+use rmcc_crypto::otp::{KeySet, OtpPipeline, PadPurpose, RmccOtp, SgxOtp, COUNTER_MAX};
 use rmcc_crypto::stats::{CryptoCost, CryptoStats};
 
 use crate::arena::PagedArena;
@@ -114,6 +114,17 @@ pub enum WriteError {
         /// The saturated counter's current value.
         counter: u64,
     },
+    /// The counter-update policy broke its contract: it did not raise the
+    /// counter ([`CounterUpdatePolicy::bump`]) or relevelled below the
+    /// minimum legal target ([`CounterUpdatePolicy::relevel_target`]).
+    /// Using its answer would reuse a (block, counter) pair, so the write
+    /// is refused before any state is mutated.
+    PolicyViolation {
+        /// The least value the policy could legally have returned.
+        minimum: u64,
+        /// The value it returned instead.
+        proposed: u64,
+    },
 }
 
 impl From<LayoutError> for WriteError {
@@ -131,6 +142,12 @@ impl std::fmt::Display for WriteError {
                     f,
                     "counter at {counter} cannot advance within the 56-bit space; \
                      key renewal required"
+                )
+            }
+            WriteError::PolicyViolation { minimum, proposed } => {
+                write!(
+                    f,
+                    "counter policy proposed {proposed}, below the least legal value {minimum}"
                 )
             }
         }
@@ -322,6 +339,8 @@ pub struct SecureMemory {
     scratch_chain: Vec<(usize, u64)>,
     /// Reusable buffer for relevel re-encryption plaintexts.
     scratch_reencrypt: Vec<(u64, DataBlock)>,
+    /// Reusable buffer for the nodes one write re-MACs, in MAC order.
+    scratch_dirty: Vec<(usize, u64)>,
 }
 
 impl std::fmt::Debug for SecureMemory {
@@ -386,6 +405,7 @@ impl SecureMemory {
             crypto: CryptoStats::new(),
             scratch_chain: Vec::new(),
             scratch_reencrypt: Vec::new(),
+            scratch_dirty: Vec::new(),
         }
     }
 
@@ -439,13 +459,13 @@ impl SecureMemory {
                 n += 1;
             }
             if n == reqs.len() {
-                self.pipeline.warm_pads(&reqs);
+                self.pipeline.warm_pads(&reqs, PadPurpose::Encryption);
                 n = 0;
             }
         }
         if let Some(partial) = reqs.get(..n) {
             if !partial.is_empty() {
-                self.pipeline.warm_pads(partial);
+                self.pipeline.warm_pads(partial, PadPurpose::Encryption);
             }
         }
     }
@@ -496,8 +516,10 @@ impl SecureMemory {
     /// * [`WriteError::Layout`] if `block` is beyond the protected capacity.
     /// * [`WriteError::CounterSaturated`] if the block's counter cannot
     ///   advance within the 56-bit space (key-renewal territory, §IV-D2).
+    /// * [`WriteError::PolicyViolation`] if the counter-update policy
+    ///   proposes a counter that would not advance it legally.
     ///
-    /// Both refusals happen *before* any state is mutated: previously
+    /// All three refusals happen *before* any state is mutated: previously
     /// written blocks remain readable and byte-identical.
     pub fn write(&mut self, block: u64, plaintext: DataBlock) -> Result<(), WriteError> {
         self.write_impl(block, plaintext, true)
@@ -530,7 +552,12 @@ impl SecureMemory {
         } else {
             current.saturating_add(1)
         };
-        assert!(target > current, "policy must increase the counter");
+        if target <= current {
+            return Err(WriteError::PolicyViolation {
+                minimum: current.saturating_add(1),
+                proposed: target,
+            });
+        }
         if target > COUNTER_MAX {
             return Err(WriteError::CounterSaturated { counter: current });
         }
@@ -540,7 +567,12 @@ impl SecureMemory {
             } else {
                 overflow.min_relevel_target
             };
-            assert!(relevel_to >= overflow.min_relevel_target);
+            if relevel_to < overflow.min_relevel_target {
+                return Err(WriteError::PolicyViolation {
+                    minimum: overflow.min_relevel_target,
+                    proposed: relevel_to,
+                });
+            }
             if relevel_to > COUNTER_MAX {
                 return Err(WriteError::CounterSaturated { counter: current });
             }
@@ -657,42 +689,90 @@ impl SecureMemory {
     /// image, bumping its protecting counter and re-MACing ancestors as
     /// needed (write-through tree maintenance).
     ///
+    /// Two phases: [`Self::bump_chain`] walks up the tree and records every
+    /// node whose image must be re-MACed, then [`Self::flush_node_macs`]
+    /// derives their MAC pads through batched pipeline calls and stores
+    /// the MACs. A node's MAC depends only on its own image and on the
+    /// counter its parent holds, and nothing later in the walk changes
+    /// either, so the stored state is the one a MAC-as-you-go walk leaves.
+    ///
     /// # Errors
     ///
     /// * [`WriteError::Layout`] if `(level, idx)` is outside the tree — a
     ///   layout bug that must surface, never alias to another node.
     /// * [`WriteError::CounterSaturated`] if a protecting counter has no
-    ///   room left in the 56-bit space.
+    ///   room left in the 56-bit space. The nodes recorded below the
+    ///   saturated one are still flushed first.
     fn publish_node(&mut self, level: usize, idx: u64) -> Result<(), WriteError> {
+        let mut dirty = std::mem::take(&mut self.scratch_dirty);
+        dirty.clear();
+        let outcome = self.bump_chain(level, idx, &mut dirty);
+        self.flush_node_macs(&dirty);
+        self.scratch_dirty = dirty;
+        outcome
+    }
+
+    /// Phase one of [`Self::publish_node`]: from (`level`, `idx`) up to
+    /// the on-chip root, bump each node's protecting counter (relevelling
+    /// the parent on overflow) and push every node to re-MAC onto `dirty`
+    /// — relevelled siblings first, then the node itself, level by level.
+    fn bump_chain(
+        &mut self,
+        mut level: usize,
+        mut idx: u64,
+        dirty: &mut Vec<(usize, u64)>,
+    ) -> Result<(), WriteError> {
         let depth = self.meta.layout().depth();
-        let (parent_level, parent_idx) = self.meta.layout().parent_loc(level, idx)?;
-        let current = self.meta.node_counter(level, idx);
-        if current >= COUNTER_MAX {
-            return Err(WriteError::CounterSaturated { counter: current });
-        }
-        if let Err(overflow) = self.meta.write_node_counter(level, idx, current + 1) {
-            // Parent relevel: every sibling node image must be re-MACed.
-            if overflow.min_relevel_target > COUNTER_MAX {
+        loop {
+            let (parent_level, parent_idx) = self.meta.layout().parent_loc(level, idx)?;
+            let current = self.meta.node_counter(level, idx);
+            if current >= COUNTER_MAX {
                 return Err(WriteError::CounterSaturated { counter: current });
             }
-            self.meta
-                .relevel(parent_level, parent_idx, overflow.min_relevel_target);
-            let arity = self.meta.org().tree_arity() as u64;
-            for slot in 0..arity {
-                let sibling = parent_idx * arity + slot;
-                if sibling != idx && self.stored_node(level, sibling).is_some() {
-                    self.refresh_node_mac(level, sibling);
-                    self.overflow_reencryptions += 1;
+            if let Err(overflow) = self.meta.write_node_counter(level, idx, current + 1) {
+                // Parent relevel: every sibling node image must be re-MACed.
+                if overflow.min_relevel_target > COUNTER_MAX {
+                    return Err(WriteError::CounterSaturated { counter: current });
+                }
+                self.meta
+                    .relevel(parent_level, parent_idx, overflow.min_relevel_target);
+                let arity = self.meta.org().tree_arity() as u64;
+                for slot in 0..arity {
+                    let sibling = parent_idx * arity + slot;
+                    if sibling != idx && self.stored_node(level, sibling).is_some() {
+                        dirty.push((level, sibling));
+                        self.overflow_reencryptions += 1;
+                    }
                 }
             }
+            dirty.push((level, idx));
+            // The parent's state changed (its counters moved): publish it
+            // too, unless the parent is the on-chip root.
+            if parent_level >= depth {
+                return Ok(());
+            }
+            level = parent_level;
+            idx = parent_idx;
         }
-        self.refresh_node_mac(level, idx);
-        // The parent's state changed (its counters moved): publish it too,
-        // unless the parent is the on-chip root.
-        if parent_level < depth {
-            self.publish_node(parent_level, parent_idx)?;
+    }
+
+    /// Phase two of [`Self::publish_node`]: for each [`BATCH_BLOCKS`]
+    /// `dirty` nodes (one group for any chain without a sibling relevel),
+    /// warms their MAC pads through the pipeline's batched MAC path, then
+    /// re-MACs and stores each node in order.
+    fn flush_node_macs(&mut self, dirty: &[(usize, u64)]) {
+        for group in dirty.chunks(BATCH_BLOCKS) {
+            let mut reqs = [(0u64, 0u64); BATCH_BLOCKS];
+            for (req, &(level, idx)) in reqs.iter_mut().zip(group) {
+                let counter = self.meta.node_counter(level, idx);
+                *req = (self.meta.layout().node_addr(level, idx) >> 6, counter);
+            }
+            let live = reqs.get(..group.len()).unwrap_or_default();
+            self.pipeline.warm_pads(live, PadPurpose::Mac);
+            for &(level, idx) in group {
+                self.refresh_node_mac(level, idx);
+            }
         }
-        Ok(())
     }
 
     /// Recomputes the stored MAC for node (`level`, `idx`) from its current
@@ -1219,6 +1299,82 @@ mod tests {
         assert!(matches!(err, WriteError::CounterSaturated { .. }));
         // …and refusal is fail-safe: nothing was stored, nothing corrupted.
         assert_eq!(sat.read(5), Err(ReadError::Unwritten { block: 5 }));
+    }
+
+    /// A policy that breaks its contract in one of two ways: a bump that
+    /// does not raise the counter, or a relevel below the legal minimum
+    /// (after a jump large enough to overflow a Morphable minor counter).
+    struct BrokenPolicy {
+        stuck: bool,
+    }
+    impl CounterUpdatePolicy for BrokenPolicy {
+        fn bump(&mut self, current: u64) -> u64 {
+            if self.stuck {
+                current
+            } else {
+                current + (1 << 20)
+            }
+        }
+        fn relevel_target(&mut self, min_target: u64) -> u64 {
+            min_target - 1
+        }
+    }
+
+    #[test]
+    fn misbehaving_policy_is_a_typed_error_not_a_panic() {
+        for stuck in [true, false] {
+            let mut m = SecureMemory::with_policy(
+                CounterOrg::Morphable128,
+                1 << 24,
+                PipelineKind::Rmcc,
+                99,
+                Box::new(BrokenPolicy { stuck }),
+            );
+            m.write_baseline(4, [4u8; 64]).unwrap();
+            let before = m.state_digest();
+            let err = m.write(5, [5u8; 64]).unwrap_err();
+            match err {
+                WriteError::PolicyViolation { minimum, proposed } => {
+                    assert!(proposed < minimum, "{err}");
+                    assert_eq!(stuck, minimum == 1, "{err}");
+                }
+                other => panic!("expected PolicyViolation, got {other:?}"),
+            }
+            // Refused before any state moved.
+            assert_eq!(m.state_digest(), before);
+            assert_eq!(m.read(5), Err(ReadError::Unwritten { block: 5 }));
+            assert_eq!(m.read(4), Ok([4u8; 64]));
+        }
+    }
+
+    /// The two-phase publish (walk, then one batched MAC flush) leaves the
+    /// stored state byte-identical to the recursive MAC-as-you-go walk it
+    /// replaced: the digests below were recorded from that walk. The hot
+    /// stream forces data relevels and parent-node relevels (sibling
+    /// re-MACs); the root relevel then saturates the top of the chain, and
+    /// the nodes below it must still be flushed.
+    #[test]
+    fn two_phase_publish_matches_the_recursive_walk() {
+        let mut m = mem(PipelineKind::Rmcc);
+        let depth = m.layout().depth();
+        assert!(depth >= 2, "the saturation must sit above a recorded node");
+        let mut x = 0x0dd_ba11_u64;
+        for i in 0..6000u64 {
+            x = digest_mix(x);
+            let block = (x >> 20) % 2 * 128 * 128 + (x % 128) * 128 + (x >> 32) % 3;
+            m.write(block, [i as u8; 64]).unwrap();
+        }
+        assert_eq!(m.overflow_reencryptions(), 2132);
+        assert_eq!(m.state_digest(), 0x37c7_d9a5_005f_7e09);
+        m.meta.relevel(depth, 0, COUNTER_MAX);
+        let err = m.write(1, [0xee; 64]).unwrap_err();
+        assert_eq!(
+            err,
+            WriteError::CounterSaturated {
+                counter: COUNTER_MAX
+            }
+        );
+        assert_eq!(m.state_digest(), 0xd892_89e3_e142_4eab);
     }
 
     #[test]

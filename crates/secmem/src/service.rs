@@ -178,6 +178,9 @@ impl AccessResult {
                 let (code, detail): (u64, u64) = match e {
                     WriteError::Layout(_) => (1, 0),
                     WriteError::CounterSaturated { counter } => (2, counter),
+                    WriteError::PolicyViolation { minimum, proposed } => {
+                        (3, minimum ^ splitmix64(proposed))
+                    }
                 };
                 splitmix64(acc ^ 0xF4 ^ (code << 8) ^ splitmix64(detail))
             }
@@ -876,9 +879,16 @@ impl SecureMemoryService {
                                 mon.note_fault();
                                 mon.quarantine();
                             }
+                            // A policy that breaks its contract is faulty
+                            // trusted state, like a tampered image: it
+                            // counts toward degrading the shard onto the
+                            // policy-free baseline write path.
                             AccessResult::ReadFailed(
                                 ReadError::DataTampered { .. } | ReadError::MetadataTampered { .. },
-                            ) => mon.note_fault(),
+                            )
+                            | AccessResult::WriteFailed(WriteError::PolicyViolation { .. }) => {
+                                mon.note_fault()
+                            }
                             // Unwritten reads and layout errors are client
                             // mistakes, not integrity faults.
                             _ => {}
@@ -1440,6 +1450,56 @@ mod tests {
         assert_eq!(stats.quarantines, 1);
         assert_eq!(stats.rebuilds, 1);
         assert_eq!(stats.rejected_writes, 1);
+    }
+
+    /// A policy that never raises the counter: every policy write is a
+    /// contract violation.
+    struct StuckPolicy;
+    impl CounterUpdatePolicy for StuckPolicy {
+        fn bump(&mut self, current: u64) -> u64 {
+            current
+        }
+        fn relevel_target(&mut self, min_target: u64) -> u64 {
+            min_target
+        }
+    }
+
+    #[test]
+    fn policy_violations_are_typed_faults_that_degrade_the_shard() {
+        let cfg = ServiceConfig::new(1, 1 << 20).with_health(tight_health());
+        let svc = SecureMemoryService::with_policies(&cfg, |_| Box::new(StuckPolicy));
+        let w = |byte| Access::Write {
+            block: 3,
+            data: block_of(byte),
+        };
+        // Two violations in one window: typed errors, no panic, and the
+        // breaker degrades the shard onto the policy-free baseline path…
+        let r = svc.submit_serial(&[w(1), w(2)]);
+        let violation = AccessResult::WriteFailed(WriteError::PolicyViolation {
+            minimum: 1,
+            proposed: 0,
+        });
+        assert_eq!(r, vec![violation, violation]);
+        assert_eq!(svc.fault_count(0), Some(0), "no panic was caught");
+        assert_eq!(svc.health(0), Some(ShardHealth::Degraded));
+        // …where writes serve again, bypassing the broken policy.
+        let r = svc.submit_serial(&[w(3), Access::Read { block: 3 }]);
+        assert!(matches!(r[0], AccessResult::Written { counter: 1 }));
+        assert_eq!(r[1], AccessResult::Data(block_of(3)));
+
+        // The digest sees the new variant and both of its fields.
+        let saturated = AccessResult::WriteFailed(WriteError::CounterSaturated { counter: 1 });
+        let other = AccessResult::WriteFailed(WriteError::PolicyViolation {
+            minimum: 1,
+            proposed: 2,
+        });
+        let digest = digest_results(&[violation]);
+        assert_ne!(digest, digest_results(&[saturated]));
+        assert_ne!(digest, digest_results(&[other]));
+        assert_ne!(
+            digest,
+            digest_results(&[AccessResult::Written { counter: 1 }])
+        );
     }
 
     #[test]

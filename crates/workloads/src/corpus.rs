@@ -1,5 +1,6 @@
 //! The serving-scale workload corpus: synthetic traffic generators for the
-//! "millions of users" scenario class (ROADMAP item 4).
+//! "millions of users" scenario class, whose streams drive the sharded
+//! service live or through the compact trace codec ([`crate::codec`]).
 //!
 //! Where [`crate::kernels`] replays SPEC/GraphBig-style *program* behavior,
 //! this module generates *service* behavior: multi-tenant key-value traffic
