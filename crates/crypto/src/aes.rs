@@ -588,118 +588,101 @@ impl Aes {
     }
 }
 
-/// A lane-keyed schedule: one batch of [`BATCH_BLOCKS`] lanes where lane
-/// `i` encrypts under its own key.
+/// Encrypts `io[i]` under `schedules[schedule_of[i]]`, in place (`u128`
+/// values in big-endian byte order): one batch of [`BATCH_BLOCKS`] lanes
+/// in which every lane picks its own key.
 ///
-/// The lane → key map is fixed at construction and chosen by public pad
-/// purpose (which AES of a pipeline each lane computes), never by data.
-/// The backend stays hidden behind one call:
+/// The lane → schedule map is chosen per call by public pad purpose
+/// (which AES of a pipeline each lane computes), never by data. The
+/// backend stays hidden behind one call:
 ///
-/// * when every lane is a `hardened` schedule of one variant, the lanes'
-///   bitsliced round keys are merged plane by plane under the public lane
+/// * when every schedule is `hardened` and of one variant, each
+///   schedule's bitsliced round keys drive its lanes under public lane
 ///   masks, and a call is exactly one circuit evaluation however many
-///   lanes are live;
+///   lanes are live and whichever schedules they pick;
 /// * otherwise (the table backends, or a mixed set) each live lane runs
-///   its own schedule's scalar path, in lane order, so a call costs
-///   exactly one block encryption per live lane.
+///   its schedule's scalar path, in lane order, so a call costs exactly
+///   one block encryption per live lane.
+///
+/// Lane `i` is live when `i` is below `io.len()`, `schedule_of.len()` and
+/// [`BATCH_BLOCKS`], and `schedule_of[i]` names one of the first
+/// [`BATCH_BLOCKS`] schedules; every other value is left untouched.
 ///
 /// # Examples
 ///
 /// ```
-/// use rmcc_crypto::aes::{Aes, Backend, LaneKeyed};
+/// use rmcc_crypto::aes::{encrypt_u128_lanes, Aes, Backend};
 ///
 /// let a = Aes::new_128_on(&[1u8; 16], Backend::Hardened);
 /// let b = Aes::new_128_on(&[2u8; 16], Backend::Hardened);
-/// let lanes = LaneKeyed::new([&a, &b, &a, &b, &a, &b, &a, &b]);
-/// let mut io = [7u128, 7];
-/// lanes.encrypt_u128_lanes(&mut io);
-/// assert_eq!(io, [a.encrypt_u128(7), b.encrypt_u128(7)]);
+/// let mut io = [7u128, 7, 7];
+/// encrypt_u128_lanes(&[&a, &b], &[1, 0, 1], &mut io);
+/// assert_eq!(io, [b.encrypt_u128(7), a.encrypt_u128(7), b.encrypt_u128(7)]);
 /// ```
-#[derive(Clone)]
-pub struct LaneKeyed {
-    engine: LaneEngine,
-}
-
-/// How a [`LaneKeyed`] schedule evaluates its lanes.
-#[derive(Clone)]
-enum LaneEngine {
-    /// One bitsliced circuit carrying every lane's round keys.
-    Merged(Box<crate::bitslice::Sliced>),
-    /// Scalar schedules: `schedules[lane_of[i]]` encrypts lane `i`.
-    PerLane {
-        /// The distinct schedules, in order of first lane.
-        schedules: Vec<Aes>,
-        /// Each lane's index into `schedules`.
-        lane_of: [usize; BATCH_BLOCKS],
-    },
-}
-
-impl std::fmt::Debug for LaneKeyed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never leak key material through Debug output.
-        f.debug_struct("LaneKeyed").finish_non_exhaustive()
+pub fn encrypt_u128_lanes(schedules: &[&Aes], schedule_of: &[usize], io: &mut [u128]) {
+    let width = schedules.len().min(BATCH_BLOCKS);
+    let live = io.len().min(schedule_of.len()).min(BATCH_BLOCKS);
+    let (Some(palette), Some(io), Some(schedule_of)) = (
+        schedules.get(..width),
+        io.get_mut(..live),
+        schedule_of.get(..live),
+    ) else {
+        return;
+    };
+    // The lanes each schedule drives, as a public plane mask, and the
+    // lanes naming no schedule, whose values the circuit must not touch.
+    let mut masks = [0u128; BATCH_BLOCKS];
+    let mut dead = [0u128; BATCH_BLOCKS];
+    for ((lane, &k), dead) in schedule_of.iter().enumerate().zip(&mut dead) {
+        match masks.get_mut(k).filter(|_| k < width) {
+            Some(mask) => *mask |= crate::bitslice::lane_mask(lane),
+            None => *dead = u128::MAX,
+        }
     }
-}
-
-impl LaneKeyed {
-    /// Builds the schedule whose lane `i` runs `lanes[i]`.
-    pub fn new(lanes: [&Aes; BATCH_BLOCKS]) -> Self {
-        let [first, ..] = lanes;
-        let sliced = lanes.map(|aes| aes.sliced.as_ref());
-        let engine = match sliced {
-            [Some(s0), Some(s1), Some(s2), Some(s3), Some(s4), Some(s5), Some(s6), Some(s7)]
-                if lanes.iter().all(|aes| aes.variant == first.variant) =>
-            {
-                LaneEngine::Merged(Box::new(crate::bitslice::Sliced::merge_lanes([
-                    s0, s1, s2, s3, s4, s5, s6, s7,
-                ])))
-            }
-            _ => {
-                // One clone per distinct schedule, not per lane.
-                let mut distinct: Vec<&Aes> = Vec::new();
-                let lane_of = lanes.map(|aes| {
-                    distinct
-                        .iter()
-                        .position(|d| std::ptr::eq(*d, aes))
-                        .unwrap_or_else(|| {
-                            distinct.push(aes);
-                            distinct.len() - 1
-                        })
-                });
-                LaneEngine::PerLane {
-                    schedules: distinct.into_iter().cloned().collect(),
-                    lane_of,
-                }
-            }
-        };
-        LaneKeyed { engine }
-    }
-
-    /// Encrypts `io[i]` under lane `i`'s key, in place (`u128` values in
-    /// big-endian byte order). Lanes past `io.len()` are dead: the merged
-    /// circuit runs them on zero blocks and discards them, the per-lane
-    /// engine skips them. At most [`BATCH_BLOCKS`] values are encrypted;
-    /// any beyond are left untouched.
-    pub fn encrypt_u128_lanes(&self, io: &mut [u128]) {
-        match &self.engine {
-            LaneEngine::Merged(ct) => {
-                let mut blocks = [[0u8; BLOCK_BYTES]; BATCH_BLOCKS];
-                for (block, v) in blocks.iter_mut().zip(io.iter()) {
-                    *block = v.to_be_bytes();
-                }
-                let out = ct.encrypt8(&blocks);
-                for (v, block) in io.iter_mut().zip(out) {
-                    *v = u128::from_be_bytes(block);
-                }
-            }
-            LaneEngine::PerLane { schedules, lane_of } => {
-                for (v, &k) in io.iter_mut().zip(lane_of) {
-                    if let Some(aes) = schedules.get(k) {
-                        *v = aes.encrypt_u128(*v);
-                    }
-                }
+    if let Some(circuit) = shared_circuit(palette, masks) {
+        encrypt_lanes_bitsliced(&circuit, dead, io);
+    } else {
+        for (v, &k) in io.iter_mut().zip(schedule_of) {
+            if let Some(aes) = palette.get(k) {
+                *v = aes.encrypt_u128(*v);
             }
         }
+    }
+}
+
+/// The arm choice of [`encrypt_u128_lanes`]: `Some` with each schedule's
+/// bitsliced round keys paired with its lane mask when every schedule of
+/// a non-empty `palette` is bitsliced and of one variant (entries past
+/// the palette stay `None`), so the call is one circuit; `None` when the
+/// lanes must fall back to per-lane scalar calls.
+fn shared_circuit<'a>(
+    palette: &[&'a Aes],
+    masks: [u128; BATCH_BLOCKS],
+) -> Option<[Option<(&'a crate::bitslice::Sliced, u128)>; BATCH_BLOCKS]> {
+    let variant = palette.first()?.variant;
+    let mut circuit = [None; BATCH_BLOCKS];
+    for ((entry, aes), mask) in circuit.iter_mut().zip(palette).zip(masks) {
+        let sliced = aes.sliced.as_ref().filter(|_| aes.variant == variant)?;
+        *entry = Some((sliced, mask));
+    }
+    Some(circuit)
+}
+
+/// The one-circuit arm of [`encrypt_u128_lanes`]: each present
+/// `(schedule, mask)` entry of `circuit` drives the lanes in its plane
+/// mask, and lanes whose `dead` entry is all ones keep their input.
+fn encrypt_lanes_bitsliced(
+    circuit: &[Option<(&crate::bitslice::Sliced, u128)>],
+    dead: [u128; BATCH_BLOCKS],
+    io: &mut [u128],
+) {
+    let mut blocks = [[0u8; BLOCK_BYTES]; BATCH_BLOCKS];
+    for (block, v) in blocks.iter_mut().zip(io.iter()) {
+        *block = v.to_be_bytes();
+    }
+    let out = crate::bitslice::Sliced::encrypt8_lane_keyed(circuit, &blocks);
+    for ((v, block), dead) in io.iter_mut().zip(out).zip(dead) {
+        *v = (u128::from_be_bytes(block) & !dead) | (*v & dead);
     }
 }
 
@@ -893,33 +876,33 @@ mod tests {
         }
     }
 
-    /// Lanes that cannot share one circuit — mixed backends or mixed
-    /// variants — fall back to per-lane scalar calls and stay correct.
+    /// Lanes whose schedules cannot share one circuit — mixed backends
+    /// or mixed variants — fall back to per-lane scalar calls and stay
+    /// correct; hardened schedules of one variant share one circuit;
+    /// lanes naming no schedule are left untouched.
     #[test]
     fn lane_keyed_mixed_schedules_fall_back_per_lane() {
         let hard = Aes::new_128_on(&[1u8; 16], Backend::Hardened);
         let fast = Aes::new_128_on(&[2u8; 16], Backend::Fast);
         let wide = Aes::new_256_on(&[3u8; 32], Backend::Hardened);
-        for lanes in [
-            [&hard, &fast, &hard, &fast, &hard, &fast, &hard, &fast],
-            [&hard, &wide, &hard, &wide, &hard, &wide, &hard, &wide],
-        ] {
-            let schedule = LaneKeyed::new(lanes);
-            let LaneEngine::PerLane { schedules, .. } = &schedule.engine else {
-                panic!("mixed lanes cannot share one circuit");
-            };
-            assert_eq!(schedules.len(), 2, "one clone per distinct schedule");
+        let masks = [u128::MAX; BATCH_BLOCKS];
+        assert!(shared_circuit(&[&hard, &hard], masks).is_some());
+        assert!(shared_circuit(&[&hard], masks).is_some());
+        assert!(shared_circuit(&[&hard, &fast], masks).is_none());
+        assert!(shared_circuit(&[&fast, &fast], masks).is_none());
+        assert!(shared_circuit(&[&hard, &wide], masks).is_none());
+        assert!(shared_circuit(&[], masks).is_none());
+        for palette in [[&hard, &fast], [&hard, &wide], [&hard, &hard]] {
+            let schedule_of = [0, 1, 0, 1, 2, 1, 0, 1];
             let mut io: [u128; 8] = core::array::from_fn(|lane| lane as u128 * 0x0101);
             let want: Vec<u128> = io
                 .iter()
-                .zip(lanes)
-                .map(|(v, aes)| aes.encrypt_u128(*v))
+                .zip(schedule_of)
+                .map(|(v, k)| palette.get(k).map_or(*v, |aes| aes.encrypt_u128(*v)))
                 .collect();
-            schedule.encrypt_u128_lanes(&mut io);
+            encrypt_u128_lanes(&palette, &schedule_of, &mut io);
             assert_eq!(io.to_vec(), want);
         }
-        let merged = LaneKeyed::new([&hard; 8]);
-        assert!(matches!(merged.engine, LaneEngine::Merged(_)));
     }
 
     #[test]

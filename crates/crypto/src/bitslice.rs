@@ -48,6 +48,11 @@ const LOW_ROWS: u128 = ROW0 | ROW1 | ROW2;
 /// Lane 0's bit in every byte group; `LANE0 << lane` selects one lane.
 const LANE0: u128 = 0x0101_0101_0101_0101_0101_0101_0101_0101;
 
+/// The plane mask selecting lane `lane` (`< 8`) in every byte group.
+pub(crate) fn lane_mask(lane: usize) -> u128 {
+    LANE0 << (lane & 7)
+}
+
 /// Bitsliced GF(2^8) multiply: schoolbook polynomial product of two
 /// plane-sets followed by reduction modulo the AES polynomial
 /// `x^8 + x^4 + x^3 + x + 1`. Pure AND/XOR — one call multiplies all 128
@@ -462,34 +467,49 @@ impl Sliced {
         }
     }
 
-    /// Merges eight schedules into one whose lane `i` runs `lanes[i]`'s
-    /// key: every round-key plane is the OR of each schedule's plane
-    /// masked to its lane. The round primitives never move a bit across
-    /// lanes, so one [`Sliced::encrypt8`] then encrypts each lane under its
-    /// own key. The masks are public constants and the work is fixed, so
-    /// the merge is as constant-time as the expansion. The caller
-    /// guarantees all eight share one variant.
-    pub(crate) fn merge_lanes(lanes: [&Sliced; 8]) -> Self {
-        let [first, ..] = lanes;
-        let mut merged = Sliced {
-            opening: [0; 8],
-            inner: vec![[0; 8]; first.inner.len()],
-            closing: [0; 8],
-        };
-        for (lane, one) in lanes.iter().enumerate() {
-            let mask = LANE0 << lane;
-            let blend = |dst: &mut Planes, src: &Planes| {
-                for (d, s) in dst.iter_mut().zip(src) {
+    /// Round-key planes of round `round`: the whitening key, then the
+    /// middle rounds, then the final-round key (a public round counter
+    /// selects, never data).
+    fn round_key(&self, round: usize) -> &Planes {
+        match round.checked_sub(1) {
+            None => &self.opening,
+            Some(middle) => self.inner.get(middle).unwrap_or(&self.closing),
+        }
+    }
+
+    /// Encrypts 8 blocks in lockstep where each present `(schedule,
+    /// mask)` entry of `keyed` drives the lanes its plane mask selects
+    /// (an OR of [`lane_mask`]s). Each round key is the OR of every schedule's
+    /// planes masked to its lanes; the round primitives never move a bit
+    /// across lanes, so every lane is encrypted under its own key. The
+    /// masks are public and the work is fixed — one circuit plus the
+    /// masked blend, whatever the masks — so this is as constant-time as
+    /// [`Sliced::encrypt8`]. The caller guarantees all schedules share
+    /// one variant and the masks are disjoint.
+    pub(crate) fn encrypt8_lane_keyed(
+        keyed: &[Option<(&Sliced, u128)>],
+        blocks: &[Block; 8],
+    ) -> [Block; 8] {
+        let merged = |round: usize| {
+            let mut rk: Planes = [0; 8];
+            for (one, mask) in keyed.iter().flatten() {
+                for (d, s) in rk.iter_mut().zip(one.round_key(round)) {
                     *d |= s & mask;
                 }
-            };
-            blend(&mut merged.opening, &one.opening);
-            for (dst, src) in merged.inner.iter_mut().zip(&one.inner) {
-                blend(dst, src);
             }
-            blend(&mut merged.closing, &one.closing);
+            rk
+        };
+        let middle = keyed
+            .iter()
+            .flatten()
+            .next()
+            .map_or(0, |(one, _)| one.inner.len());
+        let mut planes = xor_planes(pack8(blocks), merged(0));
+        for round in 1..=middle {
+            planes = xor_planes(mix_columns(shift_rows(sub_bytes(planes))), merged(round));
         }
-        merged
+        planes = xor_planes(shift_rows(sub_bytes(planes)), merged(middle + 1));
+        unpack8(planes)
     }
 
     /// Encrypts 8 blocks in lockstep through the plane circuit.

@@ -55,7 +55,7 @@ pub mod nist;
 pub mod otp;
 pub mod stats;
 
-pub use aes::{Aes, AesVariant, Backend, KeyLengthError, LaneKeyed};
+pub use aes::{encrypt_u128_lanes, Aes, AesVariant, Backend, KeyLengthError};
 pub use clmul::{clmul128, clmul64, clmul_truncate_mid, Product256};
 pub use mac::{compute_mac, verify_mac, xor_with_pads, DataBlock, MacKeys};
 pub use otp::{BlockPads, KeySet, OtpPipeline, PadPurpose, RmccOtp, SgxOtp};

@@ -17,7 +17,7 @@
 
 use std::cell::RefCell;
 
-use crate::aes::{Aes, Backend, LaneKeyed, BATCH_BLOCKS};
+use crate::aes::{encrypt_u128_lanes, Aes, Backend, BATCH_BLOCKS};
 use crate::clmul::clmul_truncate_mid;
 
 /// Number of 128-bit words in a 64-byte memory block.
@@ -258,14 +258,17 @@ impl SgxOtp {
 }
 
 impl OtpPipeline for SgxOtp {
+    /// One lane-keyed batch: the four word pads under the encryption key,
+    /// then the MAC pad under the MAC key.
     fn block_pads(&self, block_addr: u64, ctr: u64) -> BlockPads {
         assert!(ctr <= COUNTER_MAX, "counter overflows 56 bits");
-        let mut words = [0u128; WORDS_PER_BLOCK];
-        for (i, w) in (0u8..).zip(words.iter_mut()) {
-            *w = self.keys.enc.encrypt_u128(sgx_tweak(block_addr, i, ctr));
+        let mut io = [0, 1, 2, 3, 0xff].map(|i| sgx_tweak(block_addr, i, ctr));
+        encrypt_u128_lanes(&[&self.keys.enc, &self.keys.mac], &[0, 0, 0, 0, 1], &mut io);
+        let [w0, w1, w2, w3, mac] = io;
+        BlockPads {
+            words: [w0, w1, w2, w3],
+            mac,
         }
-        let mac = self.keys.mac.encrypt_u128(sgx_tweak(block_addr, 0xff, ctr));
-        BlockPads { words, mac }
     }
 
     fn mac_pad(&self, block_addr: u64, ctr: u64) -> u128 {
@@ -288,73 +291,201 @@ fn addr_input(block_addr: u64, word_index: u8) -> u128 {
     (mu << 112) | ((word_addr as u128) << 64)
 }
 
-/// Lane layout of [`RmccOtp`]'s block derivation: the four address-only
-/// encryption words, the address-only MAC input, then the two counter-only
-/// inputs — the seven AES calls behind one block's pads, one lane each.
-const BLOCK_LANES: usize = 7;
+// Indices of the split pipeline's four AES schedules in
+// `RmccOtp::schedules`; every derivation lane runs one of them.
+/// Address-only encryption key.
+const ADDR_ENC: usize = 0;
+/// Address-only MAC key.
+const ADDR_MAC: usize = 1;
+/// Counter-only encryption key.
+const CTR_ENC: usize = 2;
+/// Counter-only MAC key.
+const CTR_MAC: usize = 3;
 
-/// Requests per circuit in the MAC-pad layout: each takes a
-/// `(counter-only MAC, address-only MAC)` lane pair.
-const MAC_PAIRS: usize = BATCH_BLOCKS / 2;
+/// Lanes behind one block's address-only halves: the four `addr_enc`
+/// words, then `addr_mac`.
+const ADDR_LANES: usize = WORDS_PER_BLOCK + 1;
 
-/// Number of slots in each way of the transparent pad memo (power of two).
-const MEMO_SLOTS: usize = 1 << 14;
+/// Most lanes one group of [`BATCH_BLOCKS`] requests can need: every
+/// request missing its address halves and a counter of its own (`enc`,
+/// `mac`).
+const GROUP_LANES: usize = BATCH_BLOCKS * (ADDR_LANES + 2);
 
-/// Direct-mapped slot index for `(block_addr, ctr)`: a multiplicative mix,
-/// taking the top bits so nearby addresses and counters spread apart.
-fn memo_index(block_addr: u64, ctr: u64) -> usize {
-    let mixed = (block_addr ^ ctr.rotate_left(29)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    usize::try_from(mixed >> 50).unwrap_or(0)
+/// Slots in the block way (a power of two, like every table size here).
+const BLOCK_SLOTS: usize = 1 << 12;
+
+/// Slots in the node-MAC way.
+const NODE_SLOTS: usize = 1 << 12;
+
+/// Slots in the counter table.
+const CTR_SLOTS: usize = 1 << 12;
+
+/// The `ctr` of a never-filled slot. It lies above [`COUNTER_MAX`], and
+/// every lookup checks its counter against that bound first, so no
+/// request can match an empty slot — whatever its address.
+const EMPTY: u64 = u64::MAX;
+
+/// Direct-mapped slot of `key` in a table of `slots` entries (a power of
+/// two): a multiplicative mix, taking the top bits so nearby addresses
+/// and counter values spread apart.
+fn slot_of(key: u64, slots: usize) -> usize {
+    let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let shifted = mixed.checked_shr(64 - slots.trailing_zeros()).unwrap_or(0);
+    usize::try_from(shifted).unwrap_or(0)
 }
 
-/// One direct-mapped entry of the full-block pad memo. `ctr == u64::MAX`
-/// marks an empty slot — write counters are 56-bit, so no real key collides
-/// with the sentinel.
-#[derive(Clone, Copy)]
-struct PadSlot {
-    addr: u64,
-    ctr: u64,
-    pads: BlockPads,
-}
-
-/// One direct-mapped entry of the MAC-pad-only memo.
-#[derive(Clone, Copy)]
-struct MacSlot {
-    addr: u64,
-    ctr: u64,
+/// The address-only AES results of one block: `addr_enc` for each word
+/// and `addr_mac`. They depend on nothing but the address, so one block
+/// always gets the same values.
+#[derive(Clone, Copy, Default)]
+struct AddrHalves {
+    words: [u128; WORDS_PER_BLOCK],
     mac: u128,
 }
 
-/// The pipeline's transparent memoization state — the paper's titular trick
-/// applied to the reproduction's own wall clock. Both ways live in the same
-/// trust domain as the [`KeySet`]: pads are secret material and never leave
-/// the modeled memory controller.
-#[derive(Clone)]
-struct PadMemo {
-    blocks: Vec<PadSlot>,
-    macs: Vec<MacSlot>,
+/// The counter-only AES results of one counter value: §IV-E's table
+/// entry, 16 B for decryption plus 16 B for verification.
+#[derive(Clone, Copy, Default)]
+struct CtrHalves {
+    enc: u128,
+    mac: u128,
 }
 
-impl PadMemo {
+/// One block-way slot: a data block's address-only halves plus the last
+/// `(ctr, pads)` it served, so an exact repeat costs one lookup.
+#[derive(Clone, Copy)]
+struct BlockSlot {
+    addr: u64,
+    ctr: u64,
+    halves: AddrHalves,
+    pads: BlockPads,
+}
+
+/// One node-MAC-way slot: a tree node's address-only MAC half plus the
+/// last `(ctr, mac)` it served.
+#[derive(Clone, Copy)]
+struct NodeSlot {
+    addr: u64,
+    ctr: u64,
+    amac: u128,
+    mac: u128,
+}
+
+/// One counter-table slot: the counter-only halves of one counter value.
+#[derive(Clone, Copy)]
+struct CtrSlot {
+    ctr: u64,
+    halves: CtrHalves,
+}
+
+/// Bytes of pad memo per [`RmccOtp`] (one per shard): block way, node-MAC
+/// way and counter table together.
+pub const PAD_MEMO_BYTES: usize = CTR_SLOTS * std::mem::size_of::<CtrSlot>()
+    + BLOCK_SLOTS * std::mem::size_of::<BlockSlot>()
+    + NODE_SLOTS * std::mem::size_of::<NodeSlot>();
+
+/// The split pipeline's memo — the paper's titular trick applied to the
+/// reproduction's own wall clock. Each table is direct-mapped and keyed
+/// by public metadata only: block and node addresses, counter values.
+/// All three live in the same trust domain as the [`KeySet`]: halves and
+/// pads are secret material and never leave the modeled memory
+/// controller.
+#[derive(Clone)]
+struct SplitMemo {
+    /// Block way, keyed by data-block address.
+    blocks: Vec<BlockSlot>,
+    /// Node-MAC way, keyed by tree-node address.
+    nodes: Vec<NodeSlot>,
+    /// Counter table, keyed by counter value.
+    ctrs: Vec<CtrSlot>,
+}
+
+impl SplitMemo {
     fn new() -> Self {
-        PadMemo {
+        SplitMemo {
             blocks: vec![
-                PadSlot {
+                BlockSlot {
                     addr: 0,
-                    ctr: u64::MAX,
+                    ctr: EMPTY,
+                    halves: AddrHalves::default(),
                     pads: BlockPads::default(),
                 };
-                MEMO_SLOTS
+                BLOCK_SLOTS
             ],
-            macs: vec![
-                MacSlot {
+            nodes: vec![
+                NodeSlot {
                     addr: 0,
-                    ctr: u64::MAX,
+                    ctr: EMPTY,
+                    amac: 0,
                     mac: 0,
                 };
-                MEMO_SLOTS
+                NODE_SLOTS
+            ],
+            ctrs: vec![
+                CtrSlot {
+                    ctr: EMPTY,
+                    halves: CtrHalves::default(),
+                };
+                CTR_SLOTS
             ],
         }
+    }
+}
+
+/// Where one request finds a half: in the memo, or in the derivation
+/// lanes starting at the given index.
+#[derive(Clone, Copy)]
+enum Half<T> {
+    Memo(T),
+    Lane(usize),
+}
+
+/// The AES lanes one group of requests still needs, in request order.
+struct Lanes {
+    io: [u128; GROUP_LANES],
+    schedule_of: [usize; GROUP_LANES],
+    len: usize,
+}
+
+impl Lanes {
+    fn new() -> Self {
+        Lanes {
+            io: [0; GROUP_LANES],
+            schedule_of: [0; GROUP_LANES],
+            len: 0,
+        }
+    }
+
+    /// Queues `(schedule, input)` lanes; returns the index of the first.
+    fn push(&mut self, lanes: &[(usize, u128)]) -> usize {
+        let first = self.len;
+        for &(schedule, input) in lanes {
+            if let (Some(s), Some(v)) = (
+                self.schedule_of.get_mut(self.len),
+                self.io.get_mut(self.len),
+            ) {
+                (*s, *v) = (schedule, input);
+                self.len += 1;
+            }
+        }
+        first
+    }
+
+    /// Encrypts every queued lane, [`BATCH_BLOCKS`] to a lane-keyed call.
+    fn run(&mut self, schedules: &[&Aes]) {
+        let io = self.io.get_mut(..self.len).unwrap_or_default();
+        let schedule_of = self.schedule_of.get(..self.len).unwrap_or_default();
+        for (io, schedule_of) in io
+            .chunks_mut(BATCH_BLOCKS)
+            .zip(schedule_of.chunks(BATCH_BLOCKS))
+        {
+            encrypt_u128_lanes(schedules, schedule_of, io);
+        }
+    }
+
+    /// The output of lane `lane` (after [`Lanes::run`]).
+    fn out(&self, lane: usize) -> u128 {
+        self.io.get(lane).copied().unwrap_or(0)
     }
 }
 
@@ -365,28 +496,33 @@ impl PadMemo {
 /// bits — which eliminates the commutativity repeat class (§IV-D1: the OTP
 /// for (addr = x, ctr = y) must differ from (addr = y, ctr = x)).
 ///
-/// The pipeline also memoizes its own outputs: a small direct-mapped cache
-/// keyed by `(address, counter)` short-circuits repeat derivations, exactly
-/// the self-reinforcing effect the paper builds the architecture around.
-/// The memo is *transparent* — hits return bit-identical pads, and the
-/// engine's modeled crypto tally is charged per request either way — so it
-/// only changes host wall clock, never results or accounting.
+/// The pipeline memoizes the two halves the way the paper does, in three
+/// direct-mapped tables ([`PAD_MEMO_BYTES`] in all):
 ///
-/// Every derivation runs through a lane-keyed schedule ([`LaneKeyed`]):
-/// the counter-only and address-only AES inputs are independent, so the
-/// seven calls behind one block's pads share one batch, each lane under
-/// the key its purpose selects. On the hardened backend that is one
-/// circuit per block (and one per [`MAC_PAIRS`] MAC pads) instead of one
-/// per call; the table backends still make exactly one call per live lane.
+/// * a **block way** keyed by data-block address holds the block's five
+///   address-only halves and the last `(ctr, pads)` it served;
+/// * a **node-MAC way** keyed by tree-node address holds the node's
+///   address-only MAC half and the last `(ctr, mac)` it served;
+/// * a **counter table** keyed by counter *value* holds the two
+///   counter-only halves (§IV-E's table).
+///
+/// A request derives only the halves it misses and combines the rest, so
+/// a write under a counter value already in the table costs clmuls and no
+/// AES, and a relevel re-encrypting a region under one new counter
+/// derives that counter once. The memo is *transparent* — hits return
+/// bit-identical pads, and the engine's modeled crypto tally is charged
+/// per request either way — so it only changes host wall clock, never
+/// results or accounting.
+///
+/// Every derivation runs through [`encrypt_u128_lanes`]: the missing
+/// halves of a request (or of a group of warmed requests) fill the lanes
+/// of one batch, each lane under the key its purpose selects. On the
+/// hardened backend that is one circuit per [`BATCH_BLOCKS`] lanes; the
+/// table backends make exactly one call per live lane.
 #[derive(Clone)]
 pub struct RmccOtp {
     keys: KeySet,
-    /// Block layout: `addr_enc` in lanes 0–3, then `addr_mac`, `enc`, `mac`
-    /// (lane 7 is dead).
-    block_lanes: LaneKeyed,
-    /// MAC layout: `(mac, addr_mac)` in lanes `(2i, 2i + 1)`, `i < 4`.
-    mac_lanes: LaneKeyed,
-    memo: RefCell<PadMemo>,
+    memo: RefCell<SplitMemo>,
 }
 
 impl std::fmt::Debug for RmccOtp {
@@ -399,66 +535,158 @@ impl std::fmt::Debug for RmccOtp {
 impl RmccOtp {
     /// Creates the split pipeline over `keys`.
     pub fn new(keys: KeySet) -> Self {
-        let (ae, am, enc, mac) = (&keys.addr_enc, &keys.addr_mac, &keys.enc, &keys.mac);
         RmccOtp {
-            block_lanes: LaneKeyed::new([ae, ae, ae, ae, am, enc, mac, mac]),
-            mac_lanes: LaneKeyed::new([mac, am, mac, am, mac, am, mac, am]),
             keys,
-            memo: RefCell::new(PadMemo::new()),
+            memo: RefCell::new(SplitMemo::new()),
         }
     }
 
-    /// The full derivation, bypassing the memo (also the miss path): one
-    /// lane-keyed batch in the block layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctr` exceeds [`COUNTER_MAX`].
-    fn derive_block_pads(&self, block_addr: u64, ctr: u64) -> BlockPads {
-        assert!(ctr <= COUNTER_MAX, "counter overflows 56 bits");
-        let a = addr_input(block_addr, 0);
-        let mut io: [u128; BLOCK_LANES] = [
-            a,
-            addr_input(block_addr, 1),
-            addr_input(block_addr, 2),
-            addr_input(block_addr, 3),
-            a,
-            ctr as u128,
-            ctr as u128,
-        ];
-        self.block_lanes.encrypt_u128_lanes(&mut io);
-        let [a0, a1, a2, a3, amac, ce, cm] = io;
-        BlockPads {
-            words: [
-                Self::combine(ce, a0),
-                Self::combine(ce, a1),
-                Self::combine(ce, a2),
-                Self::combine(ce, a3),
-            ],
-            mac: Self::combine(cm, amac),
-        }
+    /// The four AES schedules, in lane-schedule order ([`ADDR_ENC`],
+    /// [`ADDR_MAC`], [`CTR_ENC`], [`CTR_MAC`]).
+    fn schedules(&self) -> [&Aes; 4] {
+        let k = &self.keys;
+        [&k.addr_enc, &k.addr_mac, &k.enc, &k.mac]
     }
 
-    /// Derives the MAC pads of up to [`MAC_PAIRS`] requests in one
-    /// lane-keyed batch in the MAC layout, bypassing the memo. `out[i]`
-    /// receives request `i`'s pad; requests past `MAC_PAIRS` are ignored.
+    /// The one lookup routine behind [`OtpPipeline::block_pads`],
+    /// [`OtpPipeline::mac_pad`] and [`OtpPipeline::warm_pads`], for up to
+    /// [`BATCH_BLOCKS`] requests: look every request up, derive only the
+    /// missing halves — all of them through one lane queue, a counter
+    /// value missing twice derived once — then combine and fill the memo.
+    /// `purpose` picks the table: data blocks ([`PadPurpose::Encryption`],
+    /// all five pads in `out[i]`) or tree nodes ([`PadPurpose::Mac`], only
+    /// `out[i].mac`). Requests past `out` or past [`BATCH_BLOCKS`] are
+    /// ignored.
     ///
     /// # Panics
     ///
     /// Panics if any counter exceeds [`COUNTER_MAX`].
-    fn derive_mac_pads(&self, reqs: &[(u64, u64)], out: &mut [u128]) {
-        let mut pairs = [[0u128; 2]; MAC_PAIRS];
-        let mut live = 0;
-        for (pair, &(addr, ctr)) in pairs.iter_mut().zip(reqs) {
+    // audit:allow(R5, scope = fn, reason = "memo slots are addressed by block/node address and by counter value, all public metadata; the hit/miss pattern is the paper's architecturally visible memoization")
+    fn serve(
+        &self,
+        memo: &mut SplitMemo,
+        reqs: &[(u64, u64)],
+        purpose: PadPurpose,
+        out: &mut [BlockPads],
+    ) {
+        let mut plans: [Option<(Half<AddrHalves>, Half<CtrHalves>)>; BATCH_BLOCKS] =
+            [None; BATCH_BLOCKS];
+        let mut lanes = Lanes::new();
+        // Counter values queued so far in this group, with their lanes.
+        let mut queued = [(EMPTY, 0usize); BATCH_BLOCKS];
+        for (((&(addr, ctr), pads), plan), queue) in
+            reqs.iter().zip(out.iter_mut()).zip(&mut plans).zip(0..)
+        {
             assert!(ctr <= COUNTER_MAX, "counter overflows 56 bits");
-            *pair = [ctr as u128, addr_input(addr, 0)];
-            live += 1;
+            let a0 = addr_input(addr, 0);
+            let addr_half = match purpose {
+                PadPurpose::Encryption => {
+                    let slot = memo.blocks.get(slot_of(addr, BLOCK_SLOTS));
+                    match slot.filter(|s| s.addr == addr && s.ctr != EMPTY) {
+                        Some(s) if s.ctr == ctr => {
+                            *pads = s.pads;
+                            continue;
+                        }
+                        Some(s) => Half::Memo(s.halves),
+                        None => Half::Lane(lanes.push(&[
+                            (ADDR_ENC, a0),
+                            (ADDR_ENC, addr_input(addr, 1)),
+                            (ADDR_ENC, addr_input(addr, 2)),
+                            (ADDR_ENC, addr_input(addr, 3)),
+                            (ADDR_MAC, a0),
+                        ])),
+                    }
+                }
+                PadPurpose::Mac => {
+                    let slot = memo.nodes.get(slot_of(addr, NODE_SLOTS));
+                    match slot.filter(|s| s.addr == addr && s.ctr != EMPTY) {
+                        Some(s) if s.ctr == ctr => {
+                            pads.mac = s.mac;
+                            continue;
+                        }
+                        Some(s) => Half::Memo(AddrHalves {
+                            mac: s.amac,
+                            ..AddrHalves::default()
+                        }),
+                        None => Half::Lane(lanes.push(&[(ADDR_MAC, a0)])),
+                    }
+                }
+            };
+            let hit = memo
+                .ctrs
+                .get(slot_of(ctr, CTR_SLOTS))
+                .filter(|s| s.ctr == ctr);
+            let earlier = queued.iter().take(queue).find(|(c, _)| *c == ctr);
+            let ctr_half = match (hit, earlier) {
+                (Some(s), _) => Half::Memo(s.halves),
+                (None, Some(&(_, lane))) => Half::Lane(lane),
+                (None, None) => {
+                    // 0^72 ‖ ctr_56 (Figure 11 left input), through both
+                    // counter keys.
+                    let lane = lanes.push(&[(CTR_ENC, ctr as u128), (CTR_MAC, ctr as u128)]);
+                    if let Some(q) = queued.get_mut(queue) {
+                        *q = (ctr, lane);
+                    }
+                    Half::Lane(lane)
+                }
+            };
+            *plan = Some((addr_half, ctr_half));
         }
-        let lanes = pairs.as_flattened_mut();
-        self.mac_lanes
-            .encrypt_u128_lanes(lanes.get_mut(..2 * live).unwrap_or_default());
-        for (pad, [cm, amac]) in out.iter_mut().zip(pairs).take(live) {
-            *pad = Self::combine(cm, amac);
+        lanes.run(&self.schedules());
+        for ((&(addr, ctr), pads), plan) in reqs.iter().zip(out.iter_mut()).zip(plans) {
+            let Some((addr_half, ctr_half)) = plan else {
+                continue;
+            };
+            let ctr_halves = match ctr_half {
+                Half::Memo(h) => h,
+                Half::Lane(l) => {
+                    let h = CtrHalves {
+                        enc: lanes.out(l),
+                        mac: lanes.out(l + 1),
+                    };
+                    if let Some(slot) = memo.ctrs.get_mut(slot_of(ctr, CTR_SLOTS)) {
+                        *slot = CtrSlot { ctr, halves: h };
+                    }
+                    h
+                }
+            };
+            let halves = match addr_half {
+                Half::Memo(h) => h,
+                Half::Lane(l) => match purpose {
+                    PadPurpose::Encryption => AddrHalves {
+                        words: std::array::from_fn(|w| lanes.out(l + w)),
+                        mac: lanes.out(l + WORDS_PER_BLOCK),
+                    },
+                    PadPurpose::Mac => AddrHalves {
+                        mac: lanes.out(l),
+                        ..AddrHalves::default()
+                    },
+                },
+            };
+            pads.mac = Self::combine(ctr_halves.mac, halves.mac);
+            match purpose {
+                PadPurpose::Encryption => {
+                    pads.words = halves.words.map(|a| Self::combine(ctr_halves.enc, a));
+                    if let Some(slot) = memo.blocks.get_mut(slot_of(addr, BLOCK_SLOTS)) {
+                        *slot = BlockSlot {
+                            addr,
+                            ctr,
+                            halves,
+                            pads: *pads,
+                        };
+                    }
+                }
+                PadPurpose::Mac => {
+                    if let Some(slot) = memo.nodes.get_mut(slot_of(addr, NODE_SLOTS)) {
+                        *slot = NodeSlot {
+                            addr,
+                            ctr,
+                            amac: halves.mac,
+                            mac: pads.mac,
+                        };
+                    }
+                }
+            }
         }
     }
 
@@ -494,8 +722,7 @@ impl RmccOtp {
     /// bit-identical to `block_pads(reqs[i].0, reqs[i].1)`; lanes past
     /// `reqs.len()` are derived for the all-zero request and must be
     /// discarded by the caller. The memo is neither consulted nor
-    /// updated — this is the raw derivation ([`RmccOtp::warm_pads`] layers
-    /// the memo on top).
+    /// updated — this is the raw derivation.
     ///
     /// # Panics
     ///
@@ -556,125 +783,67 @@ impl RmccOtp {
 }
 
 impl OtpPipeline for RmccOtp {
-    // audit:allow(R5, scope = fn, reason = "memo slots are addressed by (block_addr, ctr), both public metadata; the hit/miss pattern is the paper's architecturally visible memoization")
+    // audit:allow(R5, scope = fn, reason = "memo slots are addressed by block address and counter value, both public metadata; the hit/miss pattern is the paper's architecturally visible memoization")
     fn block_pads(&self, block_addr: u64, ctr: u64) -> BlockPads {
-        let idx = memo_index(block_addr, ctr);
+        // Checked before any lookup: an empty slot holds counter
+        // `u64::MAX`, which no request may match.
+        assert!(ctr <= COUNTER_MAX, "counter overflows 56 bits");
         // `try_borrow_mut` instead of `borrow_mut`: the memo is a pure
         // accelerator, so on the (impossible today) reentrant path we just
         // derive without it rather than risk a panic in a trusted crate.
         let Ok(mut memo) = self.memo.try_borrow_mut() else {
-            return self.derive_block_pads(block_addr, ctr);
+            let [pads, ..] = self.block_pads_batch8(&[(block_addr, ctr)]);
+            return pads;
         };
-        if let Some(slot) = memo.blocks.get(idx) {
+        // An exact repeat needs no lane queue at all (measured: ~11% of
+        // `kv_resident` throughput, where nearly every lookup repeats).
+        if let Some(slot) = memo.blocks.get(slot_of(block_addr, BLOCK_SLOTS)) {
             if slot.addr == block_addr && slot.ctr == ctr {
                 return slot.pads;
             }
         }
-        let pads = self.derive_block_pads(block_addr, ctr);
-        if let Some(slot) = memo.blocks.get_mut(idx) {
-            *slot = PadSlot {
-                addr: block_addr,
-                ctr,
-                pads,
-            };
-        }
+        let mut pads = [BlockPads::default()];
+        self.serve(
+            &mut memo,
+            &[(block_addr, ctr)],
+            PadPurpose::Encryption,
+            &mut pads,
+        );
+        let [pads] = pads;
         pads
     }
 
-    // audit:allow(R5, scope = fn, reason = "memo slots are addressed by (block_addr, ctr), both public metadata; the hit/miss pattern is the paper's architecturally visible memoization")
+    // audit:allow(R5, scope = fn, reason = "memo slots are addressed by node address and counter value, both public metadata; the hit/miss pattern is the paper's architecturally visible memoization")
     fn mac_pad(&self, block_addr: u64, ctr: u64) -> u128 {
-        let idx = memo_index(block_addr, ctr);
-        let mut mac = 0;
+        assert!(ctr <= COUNTER_MAX, "counter overflows 56 bits");
         let Ok(mut memo) = self.memo.try_borrow_mut() else {
-            self.derive_mac_pads(&[(block_addr, ctr)], std::slice::from_mut(&mut mac));
-            return mac;
+            let [pads, ..] = self.block_pads_batch8(&[(block_addr, ctr)]);
+            return pads.mac;
         };
-        if let Some(slot) = memo.macs.get(idx) {
+        if let Some(slot) = memo.nodes.get(slot_of(block_addr, NODE_SLOTS)) {
             if slot.addr == block_addr && slot.ctr == ctr {
                 return slot.mac;
             }
         }
-        self.derive_mac_pads(&[(block_addr, ctr)], std::slice::from_mut(&mut mac));
-        if let Some(slot) = memo.macs.get_mut(idx) {
-            *slot = MacSlot {
-                addr: block_addr,
-                ctr,
-                mac,
-            };
-        }
-        mac
+        let mut pads = [BlockPads::default()];
+        self.serve(&mut memo, &[(block_addr, ctr)], PadPurpose::Mac, &mut pads);
+        let [pads] = pads;
+        pads.mac
     }
 
-    /// Warms the transparent memo through the batched derivations:
-    /// requests already memoized are skipped and the rest are derived in
-    /// groups — [`BATCH_BLOCKS`] per [`RmccOtp::block_pads_batch8`] for
-    /// [`PadPurpose::Encryption`] (inserted into both ways), [`MAC_PAIRS`]
-    /// per lane-keyed MAC batch for [`PadPurpose::Mac`] (MAC way only).
-    /// Correctness-neutral by construction — hits serve bit-identical
-    /// pads, and evictions only cost a re-derivation later.
-    // audit:allow(R5, scope = fn, reason = "memo slots are addressed by (block_addr, ctr), both public metadata; the hit/miss pattern is the paper's architecturally visible memoization")
+    /// Warms the memo through [`RmccOtp`]'s one lookup routine,
+    /// [`BATCH_BLOCKS`] requests at a time: each group's missing halves
+    /// share lane-keyed batches. [`PadPurpose::Encryption`] fills the
+    /// block way, [`PadPurpose::Mac`] the node-MAC way; both fill the
+    /// counter table. Correctness-neutral by construction — hits serve
+    /// bit-identical pads, and evictions only cost a re-derivation later.
     fn warm_pads(&self, reqs: &[(u64, u64)], purpose: PadPurpose) {
         let Ok(mut memo) = self.memo.try_borrow_mut() else {
             return;
         };
-        let group_len = match purpose {
-            PadPurpose::Encryption => BATCH_BLOCKS,
-            PadPurpose::Mac => MAC_PAIRS,
-        };
-        for group in reqs.chunks(group_len) {
-            // Collect the lanes not already memoized (duplicate requests
-            // within a group derive twice and overwrite — harmless).
-            let mut missing = [(0u64, 0u64); BATCH_BLOCKS];
-            let mut n = 0usize;
-            for (addr, ctr) in group {
-                let idx = memo_index(*addr, *ctr);
-                let hit = match purpose {
-                    PadPurpose::Encryption => memo
-                        .blocks
-                        .get(idx)
-                        .is_some_and(|s| s.addr == *addr && s.ctr == *ctr),
-                    PadPurpose::Mac => memo
-                        .macs
-                        .get(idx)
-                        .is_some_and(|s| s.addr == *addr && s.ctr == *ctr),
-                };
-                if !hit {
-                    if let Some(slot) = missing.get_mut(n) {
-                        *slot = (*addr, *ctr);
-                        n += 1;
-                    }
-                }
-            }
-            let live = missing.get(..n).unwrap_or_default();
-            if live.is_empty() {
-                continue;
-            }
-            let mut macs = [0u128; BATCH_BLOCKS];
-            match purpose {
-                PadPurpose::Encryption => {
-                    let derived = self.block_pads_batch8(live);
-                    for ((addr, ctr), pads) in live.iter().zip(derived.iter()) {
-                        if let Some(slot) = memo.blocks.get_mut(memo_index(*addr, *ctr)) {
-                            *slot = PadSlot {
-                                addr: *addr,
-                                ctr: *ctr,
-                                pads: *pads,
-                            };
-                        }
-                    }
-                    macs = derived.map(|pads| pads.mac);
-                }
-                PadPurpose::Mac => self.derive_mac_pads(live, &mut macs),
-            }
-            for ((addr, ctr), mac) in live.iter().zip(macs) {
-                if let Some(slot) = memo.macs.get_mut(memo_index(*addr, *ctr)) {
-                    *slot = MacSlot {
-                        addr: *addr,
-                        ctr: *ctr,
-                        mac,
-                    };
-                }
-            }
+        let mut out = [BlockPads::default(); BATCH_BLOCKS];
+        for group in reqs.chunks(BATCH_BLOCKS) {
+            self.serve(&mut memo, group, purpose, &mut out);
         }
     }
 
@@ -899,24 +1068,27 @@ mod tests {
         }
     }
 
-    /// The batched MAC derivation matches scalar `mac_pad` for every
-    /// group size, and a MAC warm leaves the memo serving identical pads
-    /// (for both ways) on every backend.
+    /// The lookup routine serves every group size, for tree nodes and
+    /// for data blocks, exactly the memo-free derivation on every
+    /// backend; requests past a group are ignored, and a MAC warm leaves
+    /// the memo serving identical pads.
     #[test]
-    fn batched_mac_pads_match_scalar_and_warm_the_memo() {
+    fn grouped_lookups_match_the_memo_free_derivation() {
         use crate::aes::AesVariant;
         let reqs = seeded_pairs(9);
+        let cold = pipeline_on(Backend::Fast, AesVariant::Aes128);
         for backend in [Backend::Fast, Backend::Hardened, Backend::Reference] {
-            let p = pipeline_on(backend, AesVariant::Aes128);
-            let cold = pipeline_on(Backend::Fast, AesVariant::Aes128);
-            for k in 1..=MAC_PAIRS + 1 {
-                let mut out = vec![0u128; k];
-                p.derive_mac_pads(&reqs[..k], &mut out);
-                for (i, (addr, ctr)) in reqs[..k.min(MAC_PAIRS)].iter().enumerate() {
-                    assert_eq!(out[i], cold.mac_pad(*addr, *ctr), "{backend} {i} of {k}");
-                }
-                if k > MAC_PAIRS {
-                    assert_eq!(out[MAC_PAIRS], 0, "requests past a batch are ignored");
+            for k in 1..=BATCH_BLOCKS + 1 {
+                let p = pipeline_on(backend, AesVariant::Aes128);
+                let mut memo = p.memo.borrow_mut();
+                let want = cold.block_pads_batch8(&reqs[..k]);
+                let mut macs = [BlockPads::default(); BATCH_BLOCKS];
+                let mut blocks = [BlockPads::default(); BATCH_BLOCKS];
+                p.serve(&mut memo, &reqs[..k], PadPurpose::Mac, &mut macs);
+                p.serve(&mut memo, &reqs[..k], PadPurpose::Encryption, &mut blocks);
+                for i in 0..k.min(BATCH_BLOCKS) {
+                    assert_eq!(macs[i].mac, want[i].mac, "{backend} node {i} of {k}");
+                    assert_eq!(blocks[i], want[i], "{backend} block {i} of {k}");
                 }
             }
             let warmed = pipeline_on(backend, AesVariant::Aes128);
@@ -925,6 +1097,136 @@ mod tests {
             for (addr, ctr) in &reqs {
                 assert_eq!(warmed.mac_pad(*addr, *ctr), cold.mac_pad(*addr, *ctr));
                 assert_eq!(warmed.block_pads(*addr, *ctr), cold.block_pads(*addr, *ctr));
+            }
+        }
+    }
+
+    /// The first `n` keys after `base` (stepping by `step`) that share
+    /// `base`'s slot in a table of `slots` entries.
+    fn slot_mates(base: u64, step: i64, slots: usize, n: usize) -> Vec<u64> {
+        (1..)
+            .map(|i: i64| base.wrapping_add_signed(i * step))
+            .filter(|k| slot_of(*k, slots) == slot_of(base, slots))
+            .take(n)
+            .collect()
+    }
+
+    /// A seeded interleaving of `block_pads`, `mac_pad` and both warms
+    /// over a small key space built to conflict — addresses sharing a
+    /// block-way or node-way slot, counters sharing a counter-table slot,
+    /// and the edge keys `0`/`u64::MAX` and `0`/`COUNTER_MAX` — serves
+    /// exactly the memo-free derivation on all three backends. An empty
+    /// slot must never match a request, whatever its address.
+    #[test]
+    fn memo_matches_the_memo_free_derivation_under_conflicts() {
+        use crate::aes::AesVariant;
+        let mut addrs = vec![0, u64::MAX, 5, 1 << 40];
+        addrs.extend(slot_mates(0, 1, BLOCK_SLOTS, 2));
+        addrs.extend(slot_mates(u64::MAX, -1, BLOCK_SLOTS, 1));
+        addrs.extend(slot_mates(0, 1, NODE_SLOTS, 1));
+        addrs.extend(slot_mates(u64::MAX, -1, NODE_SLOTS, 2));
+        let mut ctrs = vec![0, COUNTER_MAX, 1, 77];
+        ctrs.extend(slot_mates(0, 1, CTR_SLOTS, 2));
+        ctrs.extend(slot_mates(COUNTER_MAX, -1, CTR_SLOTS, 2));
+        assert!(ctrs.iter().all(|c| *c <= COUNTER_MAX));
+        let reference = pipeline_on(Backend::Fast, AesVariant::Aes128);
+        let want = |addr: u64, ctr: u64| {
+            let [pads, ..] = reference.block_pads_batch8(&[(addr, ctr)]);
+            pads
+        };
+        for (addr, ctr) in [(0, 0), (u64::MAX, COUNTER_MAX), (u64::MAX, 0)] {
+            let w = want(addr, ctr);
+            for (i, word) in (0u8..).zip(w.words) {
+                assert_eq!(
+                    word,
+                    reference.word_pad(addr, i, ctr, PadPurpose::Encryption)
+                );
+            }
+            assert_eq!(w.mac, reference.word_pad(addr, 0, ctr, PadPurpose::Mac));
+        }
+        for backend in [Backend::Fast, Backend::Hardened, Backend::Reference] {
+            let p = pipeline_on(backend, AesVariant::Aes128);
+            // Edge keys first, while every slot is still empty.
+            for addr in [u64::MAX, 0] {
+                assert_eq!(
+                    p.mac_pad(addr, 0),
+                    want(addr, 0).mac,
+                    "{backend} empty node way"
+                );
+                assert_eq!(
+                    p.block_pads(addr, 0),
+                    want(addr, 0),
+                    "{backend} empty block way"
+                );
+            }
+            let mut x = 0x0c0f_11c7_u64;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for step in 0..600 {
+                let mut pick = || {
+                    let r = next();
+                    let addr = addrs[(r % addrs.len() as u64) as usize];
+                    (addr, ctrs[((r >> 32) % ctrs.len() as u64) as usize])
+                };
+                let (addr, ctr) = pick();
+                match step % 4 {
+                    0 => assert_eq!(p.block_pads(addr, ctr), want(addr, ctr), "{backend} {step}"),
+                    1 => assert_eq!(
+                        p.mac_pad(addr, ctr),
+                        want(addr, ctr).mac,
+                        "{backend} {step}"
+                    ),
+                    k => {
+                        let reqs: Vec<(u64, u64)> = (0..step % 11).map(|_| pick()).collect();
+                        let purpose = if k == 2 {
+                            PadPurpose::Encryption
+                        } else {
+                            PadPurpose::Mac
+                        };
+                        p.warm_pads(&reqs, purpose);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The memo stays under the 2 MiB per shard of the `(address,
+    /// counter)` pad cache it replaced.
+    #[test]
+    fn pad_memo_fits_its_budget() {
+        assert!(PAD_MEMO_BYTES < 2_097_152, "{PAD_MEMO_BYTES} B");
+    }
+
+    /// The baseline pipeline's lane-keyed batch is backend-invisible:
+    /// fast, hardened and reference serve identical pads, equal to one
+    /// scalar AES per pad.
+    #[test]
+    fn sgx_pads_agree_across_backends() {
+        use crate::aes::AesVariant;
+        let on = |backend| {
+            SgxOtp::new(KeySet::from_master_on(
+                0x1234_5678,
+                AesVariant::Aes128,
+                backend,
+            ))
+        };
+        let fast = on(Backend::Fast);
+        let others = [on(Backend::Hardened), on(Backend::Reference)];
+        for (addr, ctr) in seeded_pairs(16) {
+            let want = fast.block_pads(addr, ctr);
+            for (i, word) in (0u8..).zip(want.words) {
+                let tweak = sgx_tweak(addr, i, ctr);
+                assert_eq!(word, fast.keys.encryption().encrypt_u128(tweak));
+            }
+            let tweak = sgx_tweak(addr, 0xff, ctr);
+            assert_eq!(want.mac, fast.keys.mac().encrypt_u128(tweak));
+            for p in &others {
+                assert_eq!(p.block_pads(addr, ctr), want, "{addr}/{ctr}");
+                assert_eq!(p.mac_pad(addr, ctr), want.mac, "{addr}/{ctr}");
             }
         }
     }
@@ -962,6 +1264,30 @@ mod tests {
     fn batch_counter_overflow_panics() {
         let p = RmccOtp::new(keys());
         let _ = p.block_pads_batch8(&[(1, COUNTER_MAX + 1)]);
+    }
+
+    /// An empty memo slot holds address 0 and counter `u64::MAX`; an
+    /// over-range counter on a fresh pipeline must still panic rather than
+    /// match that slot in the exact-repeat fast path and serve a zero pad.
+    #[test]
+    #[should_panic(expected = "counter overflows")]
+    fn fresh_block_pads_counter_overflow_panics() {
+        let p = RmccOtp::new(keys());
+        let _ = p.block_pads(0, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter overflows")]
+    fn block_pads_counter_overflow_panics() {
+        let p = RmccOtp::new(keys());
+        let _ = p.block_pads(0, COUNTER_MAX + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter overflows")]
+    fn fresh_mac_pad_counter_overflow_panics() {
+        let p = RmccOtp::new(keys());
+        let _ = p.mac_pad(0, u64::MAX);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 // want, and seed-derived bytes truncate by design.
 #![allow(clippy::expect_used, clippy::cast_possible_truncation)]
 use proptest::prelude::*;
-use rmcc_crypto::aes::{Aes, AesVariant, Backend, Block, LaneKeyed, BATCH_BLOCKS};
+use rmcc_crypto::aes::{encrypt_u128_lanes, Aes, AesVariant, Backend, Block, BATCH_BLOCKS};
 
 const BACKENDS: [Backend; 3] = [Backend::Reference, Backend::Fast, Backend::Hardened];
 
@@ -356,10 +356,10 @@ proptest! {
         }
     }
 
-    /// A lane-keyed schedule encrypts every live lane exactly as that
-    /// lane's own key does on the scalar path, for any lane → key map
-    /// over three random keys, any live-lane count, both variants, and
-    /// every backend; lanes past the live count are left untouched.
+    /// A lane-keyed call encrypts every live lane exactly as that lane's
+    /// own key does on the scalar path, for any lane → key map over three
+    /// random keys, any live-lane count, both variants, and every
+    /// backend; lanes past the live count are left untouched.
     #[test]
     fn random_lane_keyed_schedules_match_per_key_scalar(
         seed in any::<u64>(),
@@ -380,9 +380,9 @@ proptest! {
                 .collect();
             let which: [usize; BATCH_BLOCKS] =
                 core::array::from_fn(|lane| ((map >> (lane * 2)) % 3) as usize);
-            let lanes = LaneKeyed::new(which.map(|k| &schedules[k]));
+            let palette: Vec<&Aes> = schedules.iter().collect();
             let mut io = inputs.clone();
-            lanes.encrypt_u128_lanes(&mut io);
+            encrypt_u128_lanes(&palette, &which, &mut io);
             for (lane, (got, input)) in io.iter().zip(&inputs).enumerate() {
                 let want = if lane < BATCH_BLOCKS {
                     schedules[which[lane]].encrypt_u128(*input)

@@ -476,9 +476,11 @@ impl SecureMemory {
     }
 
     /// Cumulative primitive-invocation tally: AES invocations, clmul
-    /// combines, and MAC verifications this engine has performed. This
-    /// functional engine has no memoization table, so `aes_saved` stays
-    /// zero here; the timing simulator's accounting adds the saved side.
+    /// combines, and MAC verifications this engine has performed. Every
+    /// request is charged the full modeled pipeline cost, whether or not
+    /// the pipeline's own pad memo (a host wall-clock accelerator) served
+    /// it, so `aes_saved` stays zero here; the timing simulator's
+    /// accounting adds the saved side.
     pub fn crypto_stats(&self) -> CryptoStats {
         self.crypto
     }
@@ -1262,7 +1264,7 @@ mod tests {
         assert!(after_read.aes_paid > after_write.aes_paid);
         assert_eq!(
             after_read.aes_saved, 0,
-            "the functional engine has no memoization table"
+            "the functional engine charges every request the full pipeline"
         );
         // The baseline pipeline performs no combines.
         let mut s = mem(PipelineKind::Sgx);
