@@ -92,12 +92,21 @@ pub fn functions(tokens: &[Tok]) -> Vec<FnModel> {
         };
         let params = parse_params(tokens, j, params_close);
         // The body `{` follows the return type / where clause; a `;` first
-        // means this is a declaration without a body.
+        // means this is a declaration without a body. Bracket and paren
+        // groups are skipped whole: the `;` in an array return type
+        // (`-> [u8; 16]`) does not end the signature.
         let mut k = params_close + 1;
         let mut body = None;
         while k < tokens.len() {
             if tokens[k].is_punct(";") {
                 break;
+            }
+            let group = [("[", "]"), ("(", ")")]
+                .into_iter()
+                .find(|(open, _)| tokens[k].is_punct(open));
+            if let Some((open, close)) = group {
+                k = matching_fwd(tokens, k, open, close).unwrap_or(tokens.len()) + 1;
+                continue;
             }
             if tokens[k].is_punct("{") {
                 let close = matching_fwd(tokens, k, "{", "}").unwrap_or(tokens.len() - 1);
@@ -286,10 +295,11 @@ mod tests {
         let s = scan(
             "fn add(a: u64, mut b: u64) -> u64 { a + b }\n\
              impl X { fn m(&self, key: &[u8]) -> u8 { 0 } }\n\
-             fn decl(x: u8);\n",
+             fn decl(x: u8);\n\
+             fn lanes(k: u64) -> [u64; 8] { [k; 8] }\n",
         );
         let fns = functions(&s.tokens);
-        assert_eq!(fns.len(), 3);
+        assert_eq!(fns.len(), 4);
         assert_eq!(fns[0].name, "add");
         assert_eq!(fns[0].params.len(), 2);
         assert_eq!(fns[0].params[1].name, "b");
@@ -297,6 +307,8 @@ mod tests {
         assert_eq!(fns[1].params.len(), 1, "self receiver excluded");
         assert_eq!(fns[1].params[0].ty, "& [ u8 ]");
         assert!(fns[2].body.is_none());
+        assert_eq!(fns[3].name, "lanes");
+        assert!(fns[3].body.is_some(), "array return type keeps the body");
     }
 
     #[test]

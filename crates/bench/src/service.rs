@@ -1,6 +1,7 @@
 //! Sustained-load service benchmark: the serving corpus's key-value mix
-//! driven through the sharded [`SecureMemoryService`]'s batched `submit`
-//! API.
+//! driven through the sharded
+//! [`SecureMemoryService`](rmcc_secmem::service::SecureMemoryService)'s
+//! batched `submit` API.
 //!
 //! Where [`crate::throughput`] measures the single-engine hot path, this
 //! harness measures the serving-scale question: aggregate accesses/s when
@@ -10,6 +11,14 @@
 //! and key popularity, pure integer arithmetic, bit-identical on every
 //! host), sized in *keyed regions* — one counter-coverage group per region,
 //! ~1 M at small scale and up.
+//!
+//! The bench owns no driver of its own: each scale is a
+//! [`ServiceRunConfig`], whose [`ServiceRunConfig::corpus_scenario`],
+//! [`ServiceRunConfig::batches`] and [`ServiceRunConfig::build_service`]
+//! supply the stream, its batches and every pass's service — the same ones
+//! [`rmcc_sim::service_run::run_service`] drives. What stays here is timing:
+//! warm-then-timed loops, the recovery probe, the trace round trip and the
+//! JSON report.
 //!
 //! Two passes run over the identical pre-generated workload: `submit` at
 //! width 1 (the serial reference) and at the requested `RMCC_JOBS` width.
@@ -35,104 +44,62 @@
 
 use std::time::Instant;
 
-use rmcc_core::shard::{aggregate_stats, memo_policy, MemoHandle, ShardMemoConfig, ShardMemoStats};
+use rmcc_core::shard::{aggregate_stats, ShardMemoStats};
 use rmcc_crypto::aes::Backend;
-use rmcc_secmem::service::{
-    digest_results, Access, HealthConfig, SecureMemoryService, ServiceConfig,
-};
-use rmcc_sim::service_run::access_for_event;
+use rmcc_secmem::service::{digest_results, Access, HealthConfig};
+use rmcc_sim::service_run::{ServiceRunConfig, ServingScenario};
 use rmcc_workloads::codec::{reader_from_path, record_to_path};
-use rmcc_workloads::corpus::{KvServingConfig, Scenario};
 use rmcc_workloads::trace::{TraceEvent, TraceSource, VecSink};
 use rmcc_workloads::workload::Scale;
 
 use crate::throughput::ComponentResult;
 
-/// Workload geometry for one scale. Every field participates in the
-/// deterministic result; none depend on the worker width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceBenchConfig {
-    /// Shards in the service under test.
-    pub shards: usize,
-    /// Distinct tenants (zipfian popularity).
-    pub tenants: u64,
-    /// Keyed regions per tenant (zipfian popularity within the tenant).
-    pub regions_per_tenant: u64,
-    /// Batches submitted.
-    pub batches: u64,
-    /// Accesses per batch.
-    pub batch_size: usize,
-    /// Probability, in per-mille, that an access is a write.
-    pub write_permille: u32,
-    /// Protected-region capacity in bytes (spans every tenant's regions;
-    /// the arenas are sparse so only touched regions materialize).
-    pub data_bytes: u64,
-    /// Stream seed.
-    pub seed: u64,
-}
-
-impl ServiceBenchConfig {
-    /// Geometry per scale. `tiny` is the CI smoke (a few thousand
-    /// accesses); `small` covers ~1 M keyed regions in a few seconds;
-    /// `full` pushes ~2 M accesses over the same keyspace.
-    pub fn from_scale(scale: Scale) -> Self {
-        match scale {
-            Scale::Tiny => ServiceBenchConfig {
-                shards: 4,
-                tenants: 64,
-                regions_per_tenant: 16,
-                batches: 12,
-                batch_size: 256,
-                write_permille: 250,
-                data_bytes: 1 << 26,
-                seed: 0x5EC5_7AFF_0000_0001,
-            },
-            Scale::Small => ServiceBenchConfig {
-                shards: 8,
-                tenants: 4_096,
-                regions_per_tenant: 256,
-                batches: 48,
-                batch_size: 4_096,
-                write_permille: 250,
-                data_bytes: 1 << 33,
-                seed: 0x5EC5_7AFF_0000_0002,
-            },
-            Scale::Full => ServiceBenchConfig {
-                shards: 16,
-                tenants: 8_192,
-                regions_per_tenant: 128,
-                batches: 256,
-                batch_size: 8_192,
-                write_permille: 250,
-                data_bytes: 1 << 33,
-                seed: 0x5EC5_7AFF_0000_0003,
-            },
-        }
-    }
-
-    /// Total keyed regions in the keyspace.
-    pub fn total_regions(&self) -> u64 {
-        self.tenants * self.regions_per_tenant
-    }
-
-    /// Total accesses the workload submits.
-    pub fn total_accesses(&self) -> u64 {
-        self.batches * self.batch_size as u64
-    }
-
-    /// The corpus generator behind the bench stream: key-value serving over
-    /// this geometry, one counter-coverage group per keyed region.
-    pub fn corpus_scenario(&self, coverage: u64) -> Scenario {
-        Scenario::KvServing(KvServingConfig {
-            tenants: self.tenants,
-            regions_per_tenant: self.regions_per_tenant,
-            blocks_per_region: coverage.max(1),
-            hot_blocks_per_region: 8,
-            events: self.total_accesses(),
-            write_permille: self.write_permille,
-            churn_period: 0,
-            seed: self.seed,
-        })
+/// The service run behind each scale: key-value serving over a keyspace of
+/// `tenants × regions_per_tenant` keyed regions, no tenant churn. `tiny` is
+/// the CI smoke (a few thousand accesses); `small` covers ~1 M keyed
+/// regions in a few seconds; `full` pushes ~2 M accesses over the same
+/// keyspace. `jobs` is left at 1: each pass picks its own width.
+pub fn scale_config(scale: Scale) -> ServiceRunConfig {
+    let tiny = ServiceRunConfig {
+        scenario: ServingScenario::KvServing,
+        shards: 4,
+        jobs: 1,
+        seed: 0x5EC5_7AFF_0000_0001,
+        tenants: 64,
+        regions_per_tenant: 16,
+        batches: 12,
+        batch_size: 256,
+        write_permille: 250,
+        churn_period: 0,
+        data_bytes: 1 << 26,
+        epoch_batches: 1,
+        memo_epoch_accesses: 4_096,
+        budget_fraction: 0.05,
+        ladder_seed: 4,
+        health: None,
+    };
+    match scale {
+        Scale::Tiny => tiny,
+        Scale::Small => ServiceRunConfig {
+            shards: 8,
+            seed: 0x5EC5_7AFF_0000_0002,
+            tenants: 4_096,
+            regions_per_tenant: 256,
+            batches: 48,
+            batch_size: 4_096,
+            data_bytes: 1 << 33,
+            ..tiny
+        },
+        Scale::Full => ServiceRunConfig {
+            shards: 16,
+            seed: 0x5EC5_7AFF_0000_0003,
+            tenants: 8_192,
+            regions_per_tenant: 128,
+            batches: 256,
+            batch_size: 8_192,
+            data_bytes: 1 << 33,
+            ..tiny
+        },
     }
 }
 
@@ -328,42 +295,17 @@ impl ServiceBenchReport {
     }
 }
 
-/// Pre-generates the whole workload so the timed loop measures the service
-/// alone, not stream synthesis. Returns both the raw events (for the trace
-/// roundtrip to compare against) and the batched accesses.
-fn generate_batches(
-    cfg: &ServiceBenchConfig,
-    coverage: u64,
-) -> (Vec<TraceEvent>, Vec<Vec<Access>>) {
-    let scenario = cfg.corpus_scenario(coverage);
-    let events: Vec<TraceEvent> = scenario.events().collect();
-    let batches = events
-        .chunks(cfg.batch_size.max(1))
-        .enumerate()
-        .map(|(b, chunk)| {
-            let base = (b * cfg.batch_size.max(1)) as u64;
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(i, ev)| access_for_event(ev, base + i as u64))
-                .collect()
-        })
-        .collect();
-    (events, batches)
-}
-
 /// Records the bench stream to a temp file once, replays it several times,
 /// and checks the first replay event-for-event against the live stream.
 fn run_trace_roundtrip(
-    cfg: &ServiceBenchConfig,
-    coverage: u64,
+    cfg: &ServiceRunConfig,
     live: &[TraceEvent],
     scale: Scale,
 ) -> TraceRoundtrip {
     const REPLAY_PASSES: u64 = 3;
     let path = std::env::temp_dir().join(format!("rmcc_bench_service_{scale}.trc"));
     let start = Instant::now();
-    let summary = match record_to_path(&path, &mut cfg.corpus_scenario(coverage)) {
+    let summary = match record_to_path(&path, &mut cfg.corpus_scenario()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("service bench: trace recording failed: {e}");
@@ -406,40 +348,19 @@ fn run_trace_roundtrip(
     }
 }
 
-/// Builds a fresh memoizing service for one pass, optionally with the
-/// health lifecycle enabled.
-fn build_service(
-    cfg: &ServiceBenchConfig,
-    health: Option<HealthConfig>,
-) -> (SecureMemoryService, Vec<MemoHandle>) {
-    let memo_cfg = {
-        let mut m = ShardMemoConfig::paper().with_epoch(4_096);
-        m.budget_fraction = 0.05;
-        m
-    };
-    let mut svc_cfg = ServiceConfig::new(cfg.shards, cfg.data_bytes);
-    if let Some(h) = health {
-        svc_cfg = svc_cfg.with_health(h);
-    }
-    let mut handles = Vec::with_capacity(cfg.shards);
-    let service = SecureMemoryService::with_policies(&svc_cfg, |_| {
-        let (policy, handle) = memo_policy(&memo_cfg);
-        handle.seed_groups([4]);
-        handles.push(handle);
-        policy
-    });
-    (service, handles)
-}
-
-/// Health thresholds that never trip and never roll a window: shards keep
-/// whatever state the bench forces on them for an entire timed pass.
-fn frozen_health() -> HealthConfig {
-    HealthConfig {
-        epoch_accesses: u64::MAX,
-        degrade_faults: u64::MAX,
-        quarantine_faults: u64::MAX,
-        recover_epochs: u64::MAX,
-        quarantine_epochs: u64::MAX,
+/// `cfg` with health thresholds that never trip and never roll a window:
+/// shards keep whatever state the bench forces on them for an entire timed
+/// pass.
+fn frozen_health(cfg: &ServiceRunConfig) -> ServiceRunConfig {
+    ServiceRunConfig {
+        health: Some(HealthConfig {
+            epoch_accesses: u64::MAX,
+            degrade_faults: u64::MAX,
+            quarantine_faults: u64::MAX,
+            recover_epochs: u64::MAX,
+            quarantine_epochs: u64::MAX,
+        }),
+        ..*cfg
     }
 }
 
@@ -451,16 +372,28 @@ fn frozen_health() -> HealthConfig {
 /// traversal always runs at full shard width — the service's determinism
 /// contract makes results width-invariant, so this only affects wall
 /// clock.
+///
+/// With `degraded`, the service is health-enabled and every shard is forced
+/// `Degraded` (frozen there — see [`frozen_health`]) between the two
+/// traversals: writes take the counted full-AES fail-safe path and the memo
+/// table is bypassed, so the timed traversal is the floor a faulted tenant
+/// pays while the circuit breaker decides.
 fn run_pass(
-    cfg: &ServiceBenchConfig,
+    cfg: &ServiceRunConfig,
     batches: &[Vec<Access>],
     jobs: usize,
+    degraded: bool,
 ) -> (ComponentResult, ShardMemoStats) {
-    let (service, handles) = build_service(cfg, None);
+    let (service, handles) = if degraded { frozen_health(cfg) } else { *cfg }.build_service();
     let mut checksum = 0u64;
     for batch in batches {
         let results = service.submit_with_jobs(batch, cfg.shards);
         checksum = checksum.rotate_left(9) ^ digest_results(&results);
+    }
+    if degraded {
+        for shard in 0..cfg.shards {
+            service.force_degraded(shard);
+        }
     }
     let start = Instant::now();
     let mut ops = 0u64;
@@ -479,44 +412,11 @@ fn run_pass(
     )
 }
 
-/// One degraded-mode pass: a fresh health-enabled service, an untimed warm
-/// traversal, then every shard forced `Degraded` (frozen there — see
-/// [`frozen_health`]) and the workload timed. Writes take the counted
-/// full-AES fail-safe path and the memo table is bypassed, so this is the
-/// floor a faulted tenant pays while the circuit breaker decides.
-fn run_degraded_pass(
-    cfg: &ServiceBenchConfig,
-    batches: &[Vec<Access>],
-    jobs: usize,
-) -> ComponentResult {
-    let (service, _handles) = build_service(cfg, Some(frozen_health()));
-    let mut checksum = 0u64;
-    for batch in batches {
-        let results = service.submit_with_jobs(batch, cfg.shards);
-        checksum = checksum.rotate_left(9) ^ digest_results(&results);
-    }
-    for shard in 0..cfg.shards {
-        service.force_degraded(shard);
-    }
-    let start = Instant::now();
-    let mut ops = 0u64;
-    for batch in batches {
-        let results = service.submit_with_jobs(batch, jobs);
-        checksum = checksum.rotate_left(9) ^ digest_results(&results);
-        ops += results.len() as u64;
-    }
-    ComponentResult {
-        ops,
-        seconds: start.elapsed().as_secs_f64(),
-        checksum,
-    }
-}
-
 /// Times one shard's quarantine → rebuild pass after the full workload has
 /// materialized its state: integrity-tree images re-derived from trusted
 /// counters, every stored data block's MAC re-verified.
-fn run_recovery_pass(cfg: &ServiceBenchConfig, batches: &[Vec<Access>]) -> RecoveryCost {
-    let (service, _handles) = build_service(cfg, Some(frozen_health()));
+fn run_recovery_pass(cfg: &ServiceRunConfig, batches: &[Vec<Access>]) -> RecoveryCost {
+    let (service, _handles) = frozen_health(cfg).build_service();
     for batch in batches {
         service.submit_with_jobs(batch, cfg.shards);
     }
@@ -534,19 +434,20 @@ fn run_recovery_pass(cfg: &ServiceBenchConfig, batches: &[Vec<Access>]) -> Recov
 /// degraded-mode pass, and recovery-cost probe over the identical
 /// workload.
 pub fn run(scale: Scale, jobs: usize) -> ServiceBenchReport {
-    let cfg = ServiceBenchConfig::from_scale(scale);
-    let coverage = rmcc_secmem::counters::CounterOrg::Morphable128.coverage() as u64;
-    let (events, batches) = generate_batches(&cfg, coverage);
-    let (serial, _) = run_pass(&cfg, &batches, 1);
-    let (pooled, memo) = run_pass(&cfg, &batches, jobs.max(1));
-    let degraded = run_degraded_pass(&cfg, &batches, jobs.max(1));
+    let cfg = scale_config(scale);
+    let jobs = jobs.max(1);
+    let events: Vec<TraceEvent> = cfg.corpus_scenario().events().collect();
+    let batches = cfg.batches(&events);
+    let (serial, _) = run_pass(&cfg, &batches, 1, false);
+    let (pooled, memo) = run_pass(&cfg, &batches, jobs, false);
+    let (degraded, _) = run_pass(&cfg, &batches, jobs, true);
     let recovery = run_recovery_pass(&cfg, &batches);
-    let trace = run_trace_roundtrip(&cfg, coverage, &events, scale);
+    let trace = run_trace_roundtrip(&cfg, &events, scale);
     ServiceBenchReport {
         scale: scale.to_string(),
-        jobs: jobs.max(1),
+        jobs,
         shards: cfg.shards,
-        regions: cfg.total_regions(),
+        regions: cfg.tenants * cfg.regions_per_tenant,
         tenants: cfg.tenants,
         serial,
         pooled,
@@ -569,9 +470,25 @@ mod tests {
         assert_eq!(a.deterministic_json(), b.deterministic_json());
         assert!(a.pooled_matches_serial());
         assert!(b.pooled_matches_serial());
+        assert_eq!(a.serial.ops, scale_config(Scale::Tiny).events());
+        // Golden pin: the serial/pooled diff above cannot see a change that
+        // shifts the stream on both sides. The backend name is masked so
+        // the pin holds under any `RMCC_BACKEND`.
+        let masked = a.deterministic_json().replace(
+            &format!("\"backend\":\"{}\"", a.backend),
+            "\"backend\":\"X\"",
+        );
         assert_eq!(
-            a.serial.ops,
-            ServiceBenchConfig::from_scale(Scale::Tiny).total_accesses()
+            masked,
+            concat!(
+                "{\"schema\":\"rmcc-bench-service-v2\",\"backend\":\"X\",",
+                "\"shards\":4,\"regions\":1024,\"tenants\":64,",
+                "\"accesses\":3072,\"result_checksum\":\"0x3abb3560ae868753\",",
+                "\"conformed_writes\":1142,\"budget_ok\":true,",
+                "\"pooled_matches_serial\":true,",
+                "\"trace_events\":3072,\"trace_bytes_per_event\":\"2.58\",",
+                "\"replay_matches_live\":true}"
+            )
         );
     }
 
@@ -608,10 +525,7 @@ mod tests {
             "replayed stream diverged: {:?}",
             r.trace
         );
-        assert_eq!(
-            r.trace.events,
-            ServiceBenchConfig::from_scale(Scale::Tiny).total_accesses()
-        );
+        assert_eq!(r.trace.events, scale_config(Scale::Tiny).events());
         assert!(
             r.trace.bytes_per_event() <= 4.0,
             "encoding regressed past 4 bytes/event: {:.2}",
@@ -627,7 +541,7 @@ mod tests {
         let r = run(Scale::Tiny, 2);
         assert_eq!(
             r.degraded.ops,
-            ServiceBenchConfig::from_scale(Scale::Tiny).total_accesses(),
+            scale_config(Scale::Tiny).events(),
             "degraded pass serves the whole workload"
         );
         assert!(r.recovery.nodes_rebuilt > 0, "{:?}", r.recovery);

@@ -57,6 +57,7 @@ pub use budget::{TrafficBudget, EPOCH_ACCESSES};
 pub use candidates::{HighValueMonitor, COVERAGE_REQUIREMENT, HIGH_READ_TRIGGER};
 pub use rmcc::{Rmcc, RmccConfig, UpdateOutcome, DEFAULT_LEVELS};
 pub use shard::{
-    aggregate_stats, memo_policy, MemoHandle, MemoPolicy, ShardMemoConfig, ShardMemoStats,
+    aggregate_stats, memo_policy, memo_service, MemoHandle, MemoPolicy, ShardMemoConfig,
+    ShardMemoStats,
 };
 pub use table::{Group, LookupResult, MemoizationTable, TableConfig, TableStats};

@@ -30,6 +30,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rmcc_secmem::engine::CounterUpdatePolicy;
+use rmcc_secmem::service::{SecureMemoryService, ServiceConfig};
 
 use crate::budget::TrafficBudget;
 use crate::table::{MemoizationTable, TableConfig, TableStats};
@@ -60,6 +61,13 @@ impl ShardMemoConfig {
     #[must_use]
     pub fn with_epoch(mut self, epoch_accesses: u64) -> Self {
         self.epoch_accesses = epoch_accesses.max(1);
+        self
+    }
+
+    /// The same config with a different overhead-traffic budget fraction.
+    #[must_use]
+    pub fn with_budget(mut self, budget_fraction: f64) -> Self {
+        self.budget_fraction = budget_fraction;
         self
     }
 }
@@ -103,6 +111,27 @@ pub fn memo_policy(cfg: &ShardMemoConfig) -> (Box<dyn CounterUpdatePolicy>, Memo
         core: Arc::clone(&core),
     };
     (Box::new(MemoPolicy { core }), handle)
+}
+
+/// Builds a memoizing service: one [`memo_policy`] per shard, each table
+/// seeded with the group at `ladder_seed` (`0` = cold start, no seeding),
+/// plus the shards' handles in shard order. Every corpus-driven run, bench
+/// pass and fault harness builds its service here.
+pub fn memo_service(
+    svc_cfg: &ServiceConfig,
+    memo_cfg: &ShardMemoConfig,
+    ladder_seed: u64,
+) -> (SecureMemoryService, Vec<MemoHandle>) {
+    let mut handles = Vec::with_capacity(svc_cfg.shards.max(1));
+    let service = SecureMemoryService::with_policies(svc_cfg, |_| {
+        let (policy, handle) = memo_policy(memo_cfg);
+        if ladder_seed > 0 {
+            handle.seed_groups([ladder_seed]);
+        }
+        handles.push(handle);
+        policy
+    });
+    (service, handles)
 }
 
 /// A [`CounterUpdatePolicy`] backed by one shard's memoization table and

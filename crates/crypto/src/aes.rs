@@ -17,8 +17,8 @@
 //!   schedule. Its data-dependent table access is the documented
 //!   cache-timing tradeoff of any table-based software AES (DESIGN.md §8).
 //! * [`Backend::Hardened`] runs the bitsliced constant-time circuit in
-//!   [`crate::bitslice`]: 8 blocks per invocation through pure plane
-//!   logic, no secret-indexed loads and no secret-dependent branches
+//!   the private `bitslice` module: 8 blocks per invocation through pure
+//!   plane logic, no secret-indexed loads and no secret-dependent branches
 //!   anywhere (key schedule included). Slower per block, immune to the
 //!   cache-timing channel, and ~8× wider per call (see DESIGN.md §13).
 //! * [`Backend::Reference`] is the textbook byte-wise FIPS-197 round
@@ -219,9 +219,10 @@ pub enum Backend {
     /// textbook data-dependent table access (DESIGN.md §8).
     #[default]
     Fast,
-    /// Bitsliced constant-time circuit ([`crate::bitslice`]): 8 blocks
-    /// per call, no secret-indexed loads or secret-dependent branches
-    /// anywhere — the module carries zero `audit:allow(R5)` waivers.
+    /// Bitsliced constant-time circuit (the private `bitslice` module):
+    /// 8 blocks per call, no secret-indexed loads or secret-dependent
+    /// branches anywhere — the module carries zero `audit:allow(R5)`
+    /// waivers.
     Hardened,
 }
 
@@ -401,8 +402,10 @@ impl Aes {
     /// The classic FIPS-197 key schedule via S-box lookups, producing
     /// big-endian `u32` round-key columns.
     fn schedule_words(key: &[u8], variant: AesVariant) -> Vec<[u32; 4]> {
-        let nk = variant.key_bytes() / 4; // key length in 32-bit words
         let nr = variant.rounds();
+        // Key length in 32-bit words, from the public round count
+        // (FIPS-197: Nr = Nk + 6).
+        let nk = nr - 6;
         let total_words = 4 * (nr + 1);
         let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
         w.extend(key.chunks_exact(4).map(|c| {
@@ -639,8 +642,8 @@ pub fn encrypt_u128_lanes(schedules: &[&Aes], schedule_of: &[usize], io: &mut [u
             None => *dead = u128::MAX,
         }
     }
-    if let Some(circuit) = shared_circuit(palette, masks) {
-        encrypt_lanes_bitsliced(&circuit, dead, io);
+    if let (Some(circuit), Some(first)) = (shared_circuit(palette, masks), palette.first()) {
+        encrypt_lanes_bitsliced(first.variant, &circuit, dead, io);
     } else {
         for (v, &k) in io.iter_mut().zip(schedule_of) {
             if let Some(aes) = palette.get(k) {
@@ -669,9 +672,11 @@ fn shared_circuit<'a>(
 }
 
 /// The one-circuit arm of [`encrypt_u128_lanes`]: each present
-/// `(schedule, mask)` entry of `circuit` drives the lanes in its plane
-/// mask, and lanes whose `dead` entry is all ones keep their input.
+/// `(schedule, mask)` entry of `circuit`, all of `variant`, drives the
+/// lanes in its plane mask, and lanes whose `dead` entry is all ones keep
+/// their input.
 fn encrypt_lanes_bitsliced(
+    variant: AesVariant,
     circuit: &[Option<(&crate::bitslice::Sliced, u128)>],
     dead: [u128; BATCH_BLOCKS],
     io: &mut [u128],
@@ -680,7 +685,7 @@ fn encrypt_lanes_bitsliced(
     for (block, v) in blocks.iter_mut().zip(io.iter()) {
         *block = v.to_be_bytes();
     }
-    let out = crate::bitslice::Sliced::encrypt8_lane_keyed(circuit, &blocks);
+    let out = crate::bitslice::Sliced::encrypt8_lane_keyed(variant, circuit, &blocks);
     for ((v, block), dead) in io.iter_mut().zip(out).zip(dead) {
         *v = (u128::from_be_bytes(block) & !dead) | (*v & dead);
     }
@@ -745,13 +750,7 @@ mod tests {
     #[test]
     fn backends_agree_on_random_inputs() {
         let mut z = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        };
+        let mut next = move || crate::splitmix64_next(&mut z);
         for _ in 0..64 {
             let key128: [u8; 16] = core::array::from_fn(|_| next() as u8);
             let key256: [u8; 32] = core::array::from_fn(|_| next() as u8);

@@ -484,9 +484,10 @@ impl Sliced {
     /// across lanes, so every lane is encrypted under its own key. The
     /// masks are public and the work is fixed — one circuit plus the
     /// masked blend, whatever the masks — so this is as constant-time as
-    /// [`Sliced::encrypt8`]. The caller guarantees all schedules share
-    /// one variant and the masks are disjoint.
+    /// [`Sliced::encrypt8`]. The caller guarantees every schedule is of
+    /// `variant` and the masks are disjoint.
     pub(crate) fn encrypt8_lane_keyed(
+        variant: AesVariant,
         keyed: &[Option<(&Sliced, u128)>],
         blocks: &[Block; 8],
     ) -> [Block; 8] {
@@ -499,11 +500,9 @@ impl Sliced {
             }
             rk
         };
-        let middle = keyed
-            .iter()
-            .flatten()
-            .next()
-            .map_or(0, |(one, _)| one.inner.len());
+        // The round count comes from the public variant: everything read
+        // out of `keyed` is round-key material.
+        let middle = variant.rounds().saturating_sub(1);
         let mut planes = xor_planes(pack8(blocks), merged(0));
         for round in 1..=middle {
             planes = xor_planes(mix_columns(shift_rows(sub_bytes(planes))), merged(round));

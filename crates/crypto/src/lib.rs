@@ -60,3 +60,23 @@ pub use clmul::{clmul128, clmul64, clmul_truncate_mid, Product256};
 pub use mac::{compute_mac, verify_mac, xor_with_pads, DataBlock, MacKeys};
 pub use otp::{BlockPads, KeySet, OtpPipeline, PadPurpose, RmccOtp, SgxOtp};
 pub use stats::{CryptoCost, CryptoStats};
+
+/// SplitMix64: the workspace's one deterministic mixer and PRNG step. One
+/// multiply-xorshift chain; a bijection on `u64`.
+#[inline]
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One step of the SplitMix64 stream in `state`: returns the next draw and
+/// advances the state by the golden-ratio increment.
+#[inline]
+pub fn splitmix64_next(state: &mut u64) -> u64 {
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    out
+}

@@ -70,13 +70,7 @@ impl MacKeys {
         // SplitMix64: a tiny, well-distributed PRNG sufficient for deriving
         // simulation keys.
         let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = || crate::splitmix64_next(&mut state);
         let mut keys = [0u64; 8];
         for k in keys.iter_mut() {
             loop {

@@ -1023,13 +1023,7 @@ mod tests {
     /// Seeded `(addr, ctr)` pairs plus the counter-space edges.
     fn seeded_pairs(n: u64) -> Vec<(u64, u64)> {
         let mut x = 0x5eed_u64;
-        let mut next = || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = || crate::splitmix64_next(&mut x);
         let mut pairs = vec![(0, 0), (0, COUNTER_MAX), (u64::MAX, COUNTER_MAX), (77, 0)];
         pairs.extend((0..n).map(|_| (next() >> 20, next() & COUNTER_MAX)));
         pairs

@@ -19,18 +19,13 @@
 #![allow(clippy::expect_used, clippy::cast_possible_truncation)]
 use proptest::prelude::*;
 use rmcc_crypto::aes::{encrypt_u128_lanes, Aes, AesVariant, Backend, Block, BATCH_BLOCKS};
+use rmcc_crypto::splitmix64_next;
 
 const BACKENDS: [Backend; 3] = [Backend::Reference, Backend::Fast, Backend::Hardened];
 
 /// Deterministic byte material from a seed (splitmix64 stream).
 fn bytes_from_seed<const N: usize>(mut seed: u64) -> [u8; N] {
-    core::array::from_fn(|_| {
-        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut x = seed;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (x ^ (x >> 31)) as u8
-    })
+    core::array::from_fn(|_| splitmix64_next(&mut seed) as u8)
 }
 
 /// One schedule per backend for the same key.

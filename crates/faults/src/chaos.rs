@@ -22,7 +22,8 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rmcc_core::shard::{memo_policy, MemoHandle, ShardMemoConfig};
+use rmcc_core::shard::{memo_policy, memo_service, MemoHandle, ShardMemoConfig};
+use rmcc_crypto::splitmix64;
 use rmcc_secmem::engine::CounterUpdatePolicy;
 use rmcc_secmem::service::{
     Access, AccessResult, HealthConfig, SecureMemoryService, ServiceConfig, ShardHealth,
@@ -295,13 +296,6 @@ impl std::fmt::Display for ChaosReport {
     }
 }
 
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A faulted service and its never-faulted control twin under identical
 /// seeded load — the apparatus [`run_chaos_campaign`] drives.
 pub struct ChaosServiceHarness {
@@ -319,11 +313,7 @@ impl ChaosServiceHarness {
     /// same seeded ladder; only the faulted side's policies are wrapped in
     /// chaos fuses.
     pub fn new(cfg: &ChaosConfig) -> Self {
-        let memo_cfg = {
-            let mut m = ShardMemoConfig::paper().with_epoch(64);
-            m.budget_fraction = 0.5;
-            m
-        };
+        let memo_cfg = ShardMemoConfig::paper().with_epoch(64).with_budget(0.5);
         let svc_cfg = ServiceConfig::new(cfg.shards, 1 << 26).with_health(cfg.health());
         let fuses: Vec<ChaosFuse> = (0..cfg.shards).map(|_| ChaosFuse::new()).collect();
         let mut handles = Vec::with_capacity(cfg.shards);
@@ -338,11 +328,7 @@ impl ChaosServiceHarness {
                 Box::new(ChaosPolicy::new(policy, fuse))
             })
         };
-        let control = SecureMemoryService::with_policies(&svc_cfg, |_| {
-            let (policy, handle) = memo_policy(&memo_cfg);
-            handle.seed_groups([LADDER_SEED]);
-            policy
-        });
+        let (control, _) = memo_service(&svc_cfg, &memo_cfg, LADDER_SEED);
         // Four owned regions per shard, found by region scan.
         let snap = faulted.snapshot();
         let coverage = snap.coverage();
@@ -363,7 +349,7 @@ impl ChaosServiceHarness {
             handles,
             fuses,
             shard_blocks,
-            rng: splitmix(cfg.seed ^ 0xC4A0_5CA0),
+            rng: splitmix64(cfg.seed ^ 0xC4A0_5CA0),
         }
     }
 
@@ -378,7 +364,7 @@ impl ChaosServiceHarness {
     }
 
     fn next(&mut self) -> u64 {
-        self.rng = splitmix(self.rng);
+        self.rng = splitmix64(self.rng);
         self.rng
     }
 

@@ -27,11 +27,7 @@ impl FaultRng {
 
     /// The next 64 pseudo-random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        rmcc_crypto::splitmix64_next(&mut self.0)
     }
 
     /// A value uniform in `0..n`.

@@ -18,7 +18,7 @@
 //! * show up on the victim shard as counted full-AES fallbacks, after
 //!   which the shard conforms again (self-heal).
 
-use rmcc_core::shard::{memo_policy, MemoHandle, ShardMemoConfig, ShardMemoStats};
+use rmcc_core::shard::{memo_service, MemoHandle, ShardMemoConfig, ShardMemoStats};
 use rmcc_secmem::service::{
     digest_results, Access, AccessResult, SecureMemoryService, ServiceConfig,
 };
@@ -54,22 +54,12 @@ impl ServiceFaultHarness {
     /// [`LADDER_SEED`], plus the block set the canonical round uses (two
     /// owned regions per shard).
     pub fn new(shards: usize) -> Self {
-        let memo_cfg = {
-            // Short epochs and a generous budget so a small round's jumps
-            // are always affordable — the fault story, not the budget, is
-            // under test here.
-            let mut m = ShardMemoConfig::paper().with_epoch(256);
-            m.budget_fraction = 0.5;
-            m
-        };
-        let mut handles = Vec::with_capacity(shards.max(1));
-        let service =
-            SecureMemoryService::with_policies(&ServiceConfig::new(shards, 1 << 26), |_| {
-                let (policy, handle) = memo_policy(&memo_cfg);
-                handle.seed_groups([LADDER_SEED]);
-                handles.push(handle);
-                policy
-            });
+        // Short epochs and a generous budget so a small round's jumps are
+        // always affordable — the fault story, not the budget, is under
+        // test here.
+        let memo_cfg = ShardMemoConfig::paper().with_epoch(256).with_budget(0.5);
+        let (service, handles) =
+            memo_service(&ServiceConfig::new(shards, 1 << 26), &memo_cfg, LADDER_SEED);
         let snap = service.snapshot();
         let coverage = snap.coverage();
         let mut shard_blocks: Vec<Vec<u64>> = vec![Vec::new(); snap.shards()];

@@ -11,6 +11,7 @@
 use rmcc_crypto::aes::{AesVariant, Backend, BATCH_BLOCKS};
 use rmcc_crypto::mac::{compute_mac, verify_mac, xor_with_pads, DataBlock, MacKeys};
 use rmcc_crypto::otp::{KeySet, OtpPipeline, PadPurpose, RmccOtp, SgxOtp, COUNTER_MAX};
+use rmcc_crypto::splitmix64;
 use rmcc_crypto::stats::{CryptoCost, CryptoStats};
 
 use crate::arena::PagedArena;
@@ -275,15 +276,6 @@ impl RebuildReport {
     }
 }
 
-/// splitmix64 — the digest mixer used by [`SecureMemory::state_digest`].
-#[inline]
-fn digest_mix(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Serializes a counter block into the 64 B image the MAC covers. This is a
 /// digest of the architectural state rather than the exact wire format —
 /// collision-free for all practical purposes, and any change to any counter
@@ -440,8 +432,8 @@ impl SecureMemory {
     ///
     /// This is a pure wall-clock accelerator and deliberately bypasses
     /// the modeled crypto tally: architecturally the MC still issues one
-    /// pipeline invocation per access, and [`Self::pads_for`] charges it
-    /// at request time whether the memo was warmed or not. Results are
+    /// pipeline invocation per access, and the private `pads_for` charges
+    /// it at request time whether the memo was warmed or not. Results are
     /// bit-identical with or without prefetching.
     pub fn prefetch_pads<I>(&mut self, blocks: I)
     where
@@ -853,22 +845,22 @@ impl SecureMemory {
     pub fn state_digest(&self) -> u64 {
         let mut acc = self.meta.state_digest();
         for (block, stored) in self.data.entries() {
-            acc = digest_mix(acc ^ block);
+            acc = splitmix64(acc ^ block);
             for &byte in &stored.cipher {
                 acc = acc.rotate_left(8) ^ u64::from(byte);
             }
-            acc = digest_mix(acc ^ stored.mac);
+            acc = splitmix64(acc ^ stored.mac);
         }
         for (level, arena) in self.nodes.iter().enumerate() {
             for (idx, node) in arena.entries() {
-                acc = digest_mix(acc ^ ((level as u64) << 48) ^ idx);
+                acc = splitmix64(acc ^ ((level as u64) << 48) ^ idx);
                 for &byte in &node.image {
                     acc = acc.rotate_left(8) ^ u64::from(byte);
                 }
-                acc = digest_mix(acc ^ node.mac);
+                acc = splitmix64(acc ^ node.mac);
             }
         }
-        digest_mix(acc)
+        splitmix64(acc)
     }
 
     // --- attacker interface ------------------------------------------------
@@ -1362,7 +1354,7 @@ mod tests {
         assert!(depth >= 2, "the saturation must sit above a recorded node");
         let mut x = 0x0dd_ba11_u64;
         for i in 0..6000u64 {
-            x = digest_mix(x);
+            x = splitmix64(x);
             let block = (x >> 20) % 2 * 128 * 128 + (x % 128) * 128 + (x >> 32) % 3;
             m.write(block, [i as u8; 64]).unwrap();
         }

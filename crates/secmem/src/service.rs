@@ -53,6 +53,7 @@ use std::thread;
 
 use rmcc_crypto::aes::Backend;
 use rmcc_crypto::mac::DataBlock;
+use rmcc_crypto::splitmix64;
 use rmcc_crypto::stats::CryptoStats;
 
 use crate::counters::CounterOrg;
@@ -1061,14 +1062,6 @@ pub fn serial_reference(cfg: &ServiceConfig, batch: &[Access]) -> Vec<AccessResu
     let mut mem = SecureMemory::new(cfg.org, cfg.data_bytes, cfg.pipeline, cfg.key_seed);
     // audit:allow(R5, reason = "differential-test harness: `mem` is tainted via key_seed, but apply branches only on public access outcomes")
     batch.iter().map(|a| apply(&mut mem, a, false)).collect()
-}
-
-/// SplitMix64 — the routing/digest mixer (also the bench suite's PRNG).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

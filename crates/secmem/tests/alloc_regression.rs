@@ -18,6 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rmcc_crypto::splitmix64_next;
 use rmcc_secmem::counters::CounterOrg;
 use rmcc_secmem::engine::{PipelineKind, SecureMemory};
 
@@ -46,21 +47,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn splitmix(z: &mut u64) -> u64 {
-    *z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut x = *z;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The throughput harness's access mix: random reads and writes over a
 /// fixed working set, including the counter overflows and relevels that
 /// mix provokes.
 fn drive(mem: &mut SecureMemory, blocks: u64, iters: u64, rng: &mut u64) -> u64 {
     let mut chk = 0u64;
     for i in 0..iters {
-        let r = splitmix(rng);
+        let r = splitmix64_next(rng);
         let block = r % blocks;
         if r & 1 == 0 {
             let mut pt = [0u8; 64];

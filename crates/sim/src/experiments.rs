@@ -6,7 +6,7 @@
 //! these into runnable targets; EXPERIMENTS.md records paper-vs-measured.
 //!
 //! Every per-workload figure fans its independent (workload, scheme) cells
-//! across a scoped-thread worker pool ([`Experiments::per_workload`]'s
+//! across a scoped-thread worker pool (`Experiments::per_workload`'s
 //! internals): simulations for different workloads share nothing, so they
 //! run concurrently, while rows are committed in `Workload::ALL` order —
 //! output is byte-identical to a serial run. The pool width defaults to the

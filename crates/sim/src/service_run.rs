@@ -26,15 +26,17 @@
 //! determinism contract makes the results — and therefore the telemetry and
 //! checksum — byte-identical at any `jobs`, which the tests pin down.
 
-use rmcc_core::shard::{aggregate_stats, memo_policy, MemoHandle, ShardMemoConfig, ShardMemoStats};
+use rmcc_core::shard::{
+    aggregate_stats, memo_service, MemoHandle, ShardMemoConfig, ShardMemoStats,
+};
+use rmcc_crypto::splitmix64;
 use rmcc_secmem::service::{
     digest_results, Access, AccessResult, HealthConfig, SecureMemoryService, ServiceConfig,
     ServiceSnapshot,
 };
 use rmcc_telemetry::{CounterId, MetricsRegistry, Telemetry};
 use rmcc_workloads::corpus::{
-    splitmix64, AdversarialLocalityConfig, KvServingConfig, PhaseChangeConfig, Scenario,
-    BLOCK_BYTES,
+    AdversarialLocalityConfig, KvServingConfig, PhaseChangeConfig, Scenario, BLOCK_BYTES,
 };
 use rmcc_workloads::trace::{TraceEvent, TraceSink, TraceSource};
 
@@ -151,8 +153,7 @@ impl ServiceRunConfig {
     pub fn corpus_scenario(&self) -> Scenario {
         // The service always uses the paper's Morphable counter org, so the
         // coverage (blocks per L0 region) is a pure function of the config.
-        let svc = ServiceConfig::new(self.shards, self.data_bytes);
-        let blocks_per_region = svc.org.coverage() as u64;
+        let blocks_per_region = self.service_config().org.coverage() as u64;
         let regions = self.tenants.max(1) * self.regions_per_tenant.max(1);
         let events = self.events();
         match self.scenario {
@@ -189,6 +190,45 @@ impl ServiceRunConfig {
                 })
             }
         }
+    }
+
+    /// The service geometry this config builds.
+    fn service_config(&self) -> ServiceConfig {
+        let svc_cfg = ServiceConfig::new(self.shards, self.data_bytes).with_jobs(self.jobs.max(1));
+        match self.health {
+            Some(h) => svc_cfg.with_health(h),
+            None => svc_cfg,
+        }
+    }
+
+    /// A fresh memoizing service for this config, plus its per-shard memo
+    /// handles in shard order — the service [`run_service_from`] drives.
+    #[must_use]
+    pub fn build_service(&self) -> (SecureMemoryService, Vec<MemoHandle>) {
+        let memo_cfg = ShardMemoConfig::paper()
+            .with_epoch(self.memo_epoch_accesses)
+            .with_budget(self.budget_fraction);
+        memo_service(&self.service_config(), &memo_cfg, self.ladder_seed)
+    }
+
+    /// `events` mapped through [`access_for_event`] and cut into
+    /// `batch_size` batches: exactly the batches [`run_service_from`]
+    /// submits for that stream, generated up front so a timed loop measures
+    /// the service alone.
+    #[must_use]
+    pub fn batches(&self, events: &[TraceEvent]) -> Vec<Vec<Access>> {
+        let size = self.batch_size.max(1);
+        events
+            .chunks(size)
+            .zip((0u64..).step_by(size))
+            .map(|(chunk, base)| {
+                chunk
+                    .iter()
+                    .zip(base..)
+                    .map(|(ev, seq)| access_for_event(ev, seq))
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -389,24 +429,7 @@ pub fn run_service(cfg: &ServiceRunConfig) -> ServiceRunResult {
 /// [`ServiceRunConfig::corpus_scenario`] reproduces [`run_service`]'s
 /// result byte for byte.
 pub fn run_service_from(cfg: &ServiceRunConfig, source: &mut dyn TraceSource) -> ServiceRunResult {
-    let memo_cfg = {
-        let mut m = ShardMemoConfig::paper().with_epoch(cfg.memo_epoch_accesses);
-        m.budget_fraction = cfg.budget_fraction;
-        m
-    };
-    let mut handles: Vec<MemoHandle> = Vec::with_capacity(cfg.shards.max(1));
-    let mut svc_cfg = ServiceConfig::new(cfg.shards, cfg.data_bytes).with_jobs(cfg.jobs.max(1));
-    if let Some(h) = cfg.health {
-        svc_cfg = svc_cfg.with_health(h);
-    }
-    let service = SecureMemoryService::with_policies(&svc_cfg, |_| {
-        let (policy, handle) = memo_policy(&memo_cfg);
-        if cfg.ladder_seed > 0 {
-            handle.seed_groups([cfg.ladder_seed]);
-        }
-        handles.push(handle);
-        policy
-    });
+    let (service, handles) = cfg.build_service();
     let snap = service.snapshot();
     let shards = snap.shards();
 

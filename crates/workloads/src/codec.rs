@@ -44,8 +44,8 @@
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
-use crate::corpus::splitmix64;
 use crate::trace::{TraceEvent, TraceSink, TraceSource};
+use rmcc_crypto::splitmix64;
 
 /// File magic: the first 8 bytes of every trace file.
 pub const MAGIC: [u8; 8] = *b"RMCCTRC\0";

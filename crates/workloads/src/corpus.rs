@@ -19,15 +19,9 @@
 
 use crate::trace::{TraceEvent, TraceSink, TraceSource};
 
-/// SplitMix64: the repo-wide deterministic PRNG step. One multiply-xorshift
-/// chain per draw; passes through every u64 state exactly once.
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The generators' PRNG step, re-exported so stream consumers can derive
+/// per-event values with the exact mixer that produced the stream.
+pub use rmcc_crypto::splitmix64;
 
 /// A ~1/x-distributed rank in `[0, n)`: picks a binary octave uniformly,
 /// then a uniform element inside it, so each octave carries equal mass —
